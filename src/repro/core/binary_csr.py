@@ -9,26 +9,35 @@ and every probe after that is ``initialize(preserve_flow=True)`` +
 per-probe allocation, no adjacency re-walk.
 
 Differentially interchangeable with ``pr-binary``: identical schedules
-(the prober is flow-conserving and the default FIFO selection is an
-operation-for-operation port of the list engine), measured faster on
-the generalized-instance family (see BENCH_ablation_engines.json).
+and operation counts (the prober is flow-conserving and the default
+FIFO selection is an operation-for-operation port of the list engine).
+Not faster end to end: the raw one-shot engine is ~1.4x faster than
+the list engine (BENCH_ablation_engines.json), but on the repository
+benchmark's ``cold-solve`` trace (N=32, every submit a cold solve) a
+``pr-csr`` epoch takes about 15% longer than a ``pr-binary`` one
+(median 2.26 vs 1.97 s, host-speed scaled, 2-vCPU Intel Xeon VM,
+CPython 3.11).  Each solve compiles the network, and per-vertex work
+walks flat-array slices where the list engine indexes ready lists.
 """
 
 from __future__ import annotations
 
+from repro.core.incremental_pr import SequentialProber
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
-from repro.core.scaling import Prober, binary_scaling_solve
+from repro.core.scaling import binary_scaling_solve
 from repro.core.schedule import RetrievalSchedule, SolverStats
 from repro.maxflow.csr_push_relabel import CsrPushRelabelState
 
 __all__ = ["CsrProber", "CsrBinarySolver"]
 
 
-class CsrProber(Prober):
-    """Warm-started CSR push–relabel probes over one compiled topology."""
+class CsrProber(SequentialProber):
+    """Warm-started CSR push–relabel probes over one compiled topology.
 
-    conserves_flow = True
+    Inherits the StoreFlows/RestoreFlows handling (flow plus exact
+    excess) from :class:`SequentialProber`; only the engine differs.
+    """
 
     def __init__(
         self,
@@ -38,13 +47,15 @@ class CsrProber(Prober):
         global_relabel_interval: int | None = None,
         gap_heuristic: bool = True,
     ) -> None:
+        super().__init__(
+            initial_heights=initial_heights,
+            global_relabel_interval=global_relabel_interval,
+            gap_heuristic=gap_heuristic,
+        )
         self.selection = selection
-        self.initial_heights = initial_heights
-        self.global_relabel_interval = global_relabel_interval
-        self.gap_heuristic = gap_heuristic
-        self._state: CsrPushRelabelState | None = None
 
     def attach(self, network: RetrievalNetwork) -> None:
+        self._network = network
         self._state = CsrPushRelabelState(
             network.graph,
             network.source,
@@ -55,21 +66,9 @@ class CsrProber(Prober):
             gap_heuristic=self.gap_heuristic,
         )
 
-    def probe(self) -> float:
-        assert self._state is not None, "attach() before probe()"
-        self._state.initialize(preserve_flow=True)
-        return self._state.run()
-
-    def op_counts(self) -> tuple[int, int, int]:
-        if self._state is None:
-            return (0, 0, 0)
-        return (self._state.pushes, self._state.relabels, 0)
-
     def harvest(self, stats: SolverStats) -> None:
+        super().harvest(stats)
         if self._state is not None:
-            stats.pushes += self._state.pushes
-            stats.relabels += self._state.relabels
-            stats.extra["global_relabels"] = self._state.global_relabels
             stats.extra["gap_events"] = self._state.gap_events
 
 

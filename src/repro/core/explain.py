@@ -95,10 +95,11 @@ def explain_schedule(
     push_relabel(net.graph, net.source, net.sink)
     reachable = min_cut_reachable(net.graph, net.source)
 
+    in_deg = net.disk_in_degree
     binding = tuple(
         j
         for j in range(problem.num_disks)
-        if net.disk_vertex(j) in reachable and net.disk_in_degree[j] > 0
+        if net.disk_vertex(j) in reachable and in_deg[j] > 0
     )
     hard = tuple(
         i

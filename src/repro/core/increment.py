@@ -32,10 +32,9 @@ class MinCostIncrementer:
 
     def __init__(self, network: RetrievalNetwork) -> None:
         self.network = network
+        in_deg = network.disk_in_degree
         self.live_disks: list[int] = [
-            j
-            for j in range(network.problem.num_disks)
-            if network.disk_in_degree[j] > 0
+            j for j, d in enumerate(in_deg) if d > 0
         ]
         #: number of increment steps performed
         self.steps = 0

@@ -14,17 +14,27 @@ adds binary scaling to bound the increment count by ``N``.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
 from repro.core.scaling import Prober, incremental_solve
 from repro.core.schedule import RetrievalSchedule, SolverStats
+from repro.maxflow.csr_push_relabel import CsrPushRelabelState
 from repro.maxflow.push_relabel import PushRelabelState
 
 __all__ = ["SequentialProber", "PushRelabelIncrementalSolver"]
 
 
 class SequentialProber(Prober):
-    """Warm-started sequential push–relabel probes (the integrated case)."""
+    """Warm-started sequential push–relabel probes (the integrated case).
+
+    Besides the flow, the prober carries the state's exact excess list
+    across probes: :meth:`save` snapshots it beside the flow and
+    :meth:`restore` reinstates both, so a warm probe skips the
+    ``O(n + m)`` net-inflow recomputation (see docs/ALGORITHMS.md,
+    "Warm-probe cost").
+    """
 
     conserves_flow = True
 
@@ -38,9 +48,10 @@ class SequentialProber(Prober):
         self.initial_heights = initial_heights
         self.global_relabel_interval = global_relabel_interval
         self.gap_heuristic = gap_heuristic
-        self._state: PushRelabelState | None = None
+        self._state: PushRelabelState | CsrPushRelabelState | None = None
 
     def attach(self, network: RetrievalNetwork) -> None:
+        self._network = network
         self._state = PushRelabelState(
             network.graph,
             network.source,
@@ -50,10 +61,25 @@ class SequentialProber(Prober):
             gap_heuristic=self.gap_heuristic,
         )
 
-    def probe(self) -> float:
+    def probe(self) -> int:
         assert self._state is not None, "attach() before probe()"
         self._state.initialize(preserve_flow=True)
         return self._state.run()
+
+    def save(self) -> tuple[list[int], list[int] | None]:
+        assert self._state is not None, "attach() before save()"
+        return self._graph().save_flow(), self._state.save_excess()
+
+    def restore(self, saved: Any) -> None:
+        assert self._state is not None, "attach() before restore()"
+        flow, excess = saved
+        self._graph().restore_flow(flow)
+        self._state.restore_excess(excess)
+
+    def reset_flow(self) -> None:
+        assert self._state is not None, "attach() before reset_flow()"
+        self._graph().reset_flow()
+        self._state.restore_excess(None)
 
     def op_counts(self) -> tuple[int, int, int]:
         if self._state is None:

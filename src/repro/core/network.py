@@ -36,48 +36,54 @@ class RetrievalNetwork:
         self.source = 0
         self.sink = 1
 
+        # One bulk append, arcs in the order (and so with the ids) of
+        # per-arc construction: per bucket its source arc then its
+        # deduplicated replica arcs, then every disk's sink arc.
+        dbase = 2 + Q
+        tails: list[int] = []
+        heads: list[int] = []
+        for bv, reps in enumerate(problem.replicas, 2):
+            disks = sorted(set(reps))
+            tails.append(0)
+            heads.append(bv)
+            tails.extend([bv] * len(disks))
+            heads.extend([dbase + d for d in disks])
+        base = 2 * len(tails)
+        tails.extend(range(dbase, dbase + N))
+        heads.extend([1] * N)
+        g.add_arcs(tails, heads, [1] * (len(tails) - N) + [0] * N)
+
+        # read the arc ids back so these lists share the graph's int objects
+        fwd = g.forward_out_arcs
         #: source→bucket arc ids, indexed by bucket
-        self.source_arcs: list[int] = []
+        self.source_arcs: list[int] = list(fwd(0))
         #: bucket→disk arc ids per bucket (deduplicated replicas)
-        self.replica_arcs: list[list[int]] = []
+        self.replica_arcs: list[list[int]] = [
+            list(fwd(bv)) for bv in range(2, dbase)
+        ]
         #: disk→sink arc ids, indexed by disk
-        self.sink_arcs: list[int] = []
-
-        for i, reps in enumerate(problem.replicas):
-            bv = self.bucket_vertex(i)
-            self.source_arcs.append(g.add_arc(self.source, bv, 1))
-            arcs = []
-            for d in sorted(set(reps)):
-                arcs.append(g.add_arc(bv, self.disk_vertex(d), 1))
-            self.replica_arcs.append(arcs)
-        for j in range(N):
-            self.sink_arcs.append(g.add_arc(self.disk_vertex(j), self.sink, 0))
-
+        self.sink_arcs: list[int] = [fwd(v)[0] for v in range(dbase, dbase + N)]
         # The disk→sink arcs are appended last, so their forward slots
         # form the arithmetic run base, base+2, ... (twins at the odd
-        # slots).  Capture that run as a strided slice — the vectorized
-        # per-probe rescale writes all N capacities in one extended-slice
-        # assignment.  Verified here rather than assumed, with a per-arc
-        # fallback kept for any future topology that breaks the run.
-        base = self.sink_arcs[0] if self.sink_arcs else 0
-        if self.sink_arcs == list(range(base, base + 2 * N, 2)):
-            self._sink_cap_slice: slice | None = slice(base, base + 2 * N, 2)
-        else:  # pragma: no cover - current construction always contiguous
-            self._sink_cap_slice = None
+        # slots); the per-probe rescale writes all N capacities through
+        # this strided slice in one extended-slice assignment.
+        self._sink_cap_slice = slice(base, base + 2 * N, 2)
+
+        # Per-disk replica multiplicity (Algorithm 3's ``in_degree``):
+        # the only original arcs entering a disk vertex are the
+        # deduplicated bucket→disk replica arcs.  The topology is frozen
+        # from here on (rebind checks the signature), so count once.
+        self._disk_in_degree = [g.in_degree(v) for v in range(dbase, dbase + N)]
 
     @property
     def disk_in_degree(self) -> list[int]:
         """Per-disk replica multiplicity within this query (Algorithm 3's
         ``in_degree``).
 
-        Read straight from the graph's O(1) in-degree cache: the only
-        original arcs entering a disk vertex are the deduplicated
-        bucket→disk replica arcs, so no separate copy needs maintaining.
+        Counted once at construction — the topology never changes after
+        it — and shared: treat the returned list as read-only.
         """
-        return [
-            self.graph.in_degree(self.disk_vertex(j))
-            for j in range(self.problem.num_disks)
-        ]
+        return self._disk_in_degree
 
     # ------------------------------------------------------------------
     # vertex arithmetic
@@ -178,12 +184,7 @@ class RetrievalNetwork:
 
     def set_uniform_sink_caps(self, cap: int) -> None:
         """Set every disk→sink capacity to ``cap`` (basic problem)."""
-        sl = self._sink_cap_slice
-        if sl is not None:
-            self.graph.cap[sl] = [cap] * len(self.sink_arcs)
-        else:  # pragma: no cover - defensive fallback
-            for a in self.sink_arcs:
-                self.graph.cap[a] = cap
+        self.graph.cap[self._sink_cap_slice] = [cap] * len(self.sink_arcs)
 
     def set_deadline_capacities(self, deadline_ms: float) -> None:
         """Capacities for candidate response time ``deadline_ms``
@@ -196,13 +197,7 @@ class RetrievalNetwork:
         instead of a per-disk Python loop — this runs inside *every*
         feasibility probe of the scaling skeleton."""
         caps = self.problem.system.capacities_at(deadline_ms)
-        sl = self._sink_cap_slice
-        if sl is not None:
-            self.graph.cap[sl] = caps
-        else:  # pragma: no cover - defensive fallback
-            g_cap = self.graph.cap
-            for a, c in zip(self.sink_arcs, caps):
-                g_cap[a] = c
+        self.graph.cap[self._sink_cap_slice] = caps
 
     def increment_all_sink_caps(self) -> None:
         """Raise every disk→sink capacity by one (Algorithm 1 lines 6-7)."""

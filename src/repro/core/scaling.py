@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import abc
 import time
+from typing import Any
 
 from repro import invariants
 from repro.core.increment import MinCostIncrementer
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
 from repro.core.schedule import RetrievalSchedule, SolverStats
+from repro.graph.flownetwork import FlowNetwork
 from repro.obs.trace import active_trace
 
 __all__ = ["Prober", "binary_scaling_solve", "incremental_solve"]
@@ -45,11 +47,17 @@ class Prober(abc.ABC):
 
     ``conserves_flow`` decides whether the skeleton maintains Algorithm
     6's StoreFlows/RestoreFlows bookkeeping (pointless when every probe
-    starts from zero anyway).
+    starts from zero anyway).  The prober owns that bookkeeping —
+    :meth:`save`, :meth:`restore` and :meth:`reset_flow` — so a prober
+    that carries more than the flow between probes (the push–relabel
+    probers carry the exact excess) snapshots it in the same step.
     """
 
     #: integrated (True) vs black-box (False)
     conserves_flow: bool = True
+
+    #: the network bound by :meth:`attach`
+    _network: RetrievalNetwork | None = None
 
     @abc.abstractmethod
     def attach(self, network: RetrievalNetwork) -> None:
@@ -71,6 +79,26 @@ class Prober(abc.ABC):
         deltas therefore sum exactly to what :meth:`harvest` deposits.
         """
         return (0, 0, 0)
+
+    def _graph(self) -> FlowNetwork:
+        assert self._network is not None, "attach() before save/restore"
+        return self._network.graph
+
+    def save(self) -> Any:
+        """Algorithm 6's StoreFlows: snapshot the current flow.
+
+        The snapshot is opaque to the skeleton; only :meth:`restore`
+        of the same prober reads it.
+        """
+        return self._graph().save_flow()
+
+    def restore(self, saved: Any) -> None:
+        """Algorithm 6's RestoreFlows: reinstate a :meth:`save` snapshot."""
+        self._graph().restore_flow(saved)
+
+    def reset_flow(self) -> None:
+        """Zero the flow (the re-anchored bracket starts from nothing)."""
+        self._graph().reset_flow()
 
 
 def _probe(
@@ -136,7 +164,6 @@ def binary_scaling_solve(
         if net.problem is not problem:
             net.rebind(problem)
         warm = True
-    g = net.graph
     stats = SolverStats()
     prober.attach(net)
     monitor = invariants.ProbeMonitor(net) if invariants.ENABLED else None
@@ -154,8 +181,8 @@ def binary_scaling_solve(
     flow = _probe(prober, stats, Q, tmin, "anchor", monitor)
     if flow >= Q:
         tmax, tmin = tmin, 0.0
-        g.reset_flow()
-    saved = g.save_flow()
+        prober.reset_flow()
+    saved = prober.save()
 
     # lines 12-37: binary search with flow store/restore
     while tmax - tmin >= min_speed:
@@ -165,17 +192,17 @@ def binary_scaling_solve(
         if flow >= Q:
             # feasible but maybe not optimal: back off to the stored flow
             if prober.conserves_flow:
-                g.restore_flow(saved)
+                prober.restore(saved)
             tmax = tmid
         else:
             # infeasible: this flow is valid at every larger deadline
             if prober.conserves_flow:
-                saved = g.save_flow()
+                saved = prober.save()
             tmin = tmid
 
     # lines 38-42: finish from tmin with min-cost increments
     if prober.conserves_flow:
-        g.restore_flow(saved)
+        prober.restore(saved)
     net.set_deadline_capacities(tmin)
     schedule = incremental_solve(
         problem, prober, solver_name, stats=stats, network=net,

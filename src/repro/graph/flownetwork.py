@@ -189,6 +189,58 @@ class FlowNetwork:
         self._compiled = None
         return a
 
+    def add_arcs(
+        self, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int]
+    ) -> int:
+        """Add the arcs ``tails[k] -> heads[k]`` with ``caps[k]``, in order.
+
+        The bulk form of :meth:`add_arc`: the arcs get the same ids, in
+        the same order, as ``add_arc`` called once per arc (arc ``k`` is
+        forward slot ``first + 2k``), and the same checks apply; the
+        validation runs over whole lists and the slots are appended
+        with slice writes.  Returns ``first``, the first forward id.
+        """
+        m = len(tails)
+        if len(heads) != m or len(caps) != m:
+            raise InvalidArcError(
+                f"add_arcs: {m} tails, {len(heads)} heads, {len(caps)} caps"
+            )
+        first = len(self.head)
+        if not m:
+            return first
+        n = self.n
+        if (
+            min(tails) < 0 or min(heads) < 0
+            or max(tails) >= n or max(heads) >= n
+            or min(caps) < 0
+            or any(type(c) is not int for c in caps)
+        ):
+            # per-arc path: the offending arc raises add_arc's own error
+            for u, v, c in zip(tails, heads, caps):
+                self.add_arc(u, v, c)
+            return first
+        slots = [0] * (2 * m)
+        slots[0::2] = heads
+        slots[1::2] = tails
+        self.head.extend(slots)
+        slots[0::2] = tails
+        slots[1::2] = heads
+        self._tail.extend(slots)
+        slots = [0] * (2 * m)
+        self.flow.extend(slots)
+        slots[0::2] = caps
+        self.cap.extend(slots)
+        adj, fwd, in_deg = self.adj, self._fwd, self._in_deg
+        a = first
+        for u, v in zip(tails, heads):
+            adj[u].append(a)
+            fwd[u].append(a)
+            adj[v].append(a + 1)
+            in_deg[v] += 1
+            a += 2
+        self._compiled = None
+        return first
+
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
     "InvariantViolation",
     "ProbeMonitor",
     "check_antisymmetry",
+    "check_carried_excess",
     "check_clamped_network",
     "check_valid_flow",
     "enabled_from_env",
@@ -83,6 +84,28 @@ def check_valid_flow(graph, source: int, sink: int, context: str) -> None:
         assert_valid_flow(graph, source, sink)
     except FlowValidationError as exc:
         raise InvariantViolation(f"{context}: {exc}") from exc
+
+
+def check_carried_excess(
+    graph, source: int, excess: list[int], context: str
+) -> None:
+    """A warm probe's carried excess must be the flow's exact net inflow.
+
+    The push–relabel probes reuse the excess list their previous run (or
+    a StoreFlows snapshot) left behind instead of recomputing it; that is
+    sound only while nothing rewrote the flow in between.  Compared at
+    every vertex except ``source``, whose excess the engines zero.
+    """
+    flow, adj = graph.flow, graph.adj
+    for v in range(graph.n):
+        if v == source:
+            continue
+        inflow = -sum(flow[a] for a in adj[v])
+        if excess[v] != inflow:
+            raise InvariantViolation(
+                f"{context}: carried excess {excess[v]} at vertex {v} != "
+                f"net inflow {inflow} (flow changed behind the prober)"
+            )
 
 
 def check_clamped_network(network, context: str) -> None:

@@ -30,17 +30,19 @@ Layout mechanics shared by both paths:
   with an *absolute* cursor (``current[v]`` stores a position in the
   flat array, not an offset), so the inner loop does one list index per
   arc;
-* all per-vertex working state (excess/height/cursor buffers, FIFO
-  ring or height buckets, activity bitmap, height histogram, BFS
-  scratch) lives in
+* all per-vertex working state (excess/height/cursor buffers, height
+  buckets, activity bitmap, height histogram, BFS scratch and the
+  twin-arc mirrors the BFS walks) lives in
   :attr:`~repro.graph.csr.CompiledNetwork.kernel_scratch`, keyed by
   ``(source, sink)``, and is reused across probes — reset by
   whole-buffer slice writes from precomputed templates instead of
   reallocated;
 * the exact-height BFS folds the height-histogram rebuild into the
-  distance sweep and skips the ``O(n + m)`` excess recomputation on
-  cold (``preserve_flow=False``) starts, where the flow buffer is
-  known-zero.
+  distance sweep, and the ``O(n + m)`` excess recomputation is skipped
+  on cold (``preserve_flow=False``) starts, where the flow buffer is
+  known-zero, and on warm starts whose excess is carried exact from
+  the last run or a prober restore (docs/ALGORITHMS.md, "Warm-probe
+  cost").
 
 Flows and capacities stay in the builder's plain lists (the single
 source of truth the scaling skeleton's StoreFlows/RestoreFlows
@@ -53,6 +55,7 @@ topology's cached list mirrors and the builder's value lists.
 
 from __future__ import annotations
 
+from repro import invariants
 from repro.graph.flownetwork import FlowNetwork
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
 
@@ -142,6 +145,10 @@ class CsrPushRelabelState:
                     }
                 ),
                 "zeros_m": [0] * len(adjf),
+                # BFS mirrors: the arc into v paired with each CSR slot's
+                # out-arc, and every arc's tail
+                "twin_adj": [a ^ 1 for a in adjf],
+                "tail": c.tail.tolist(),
                 # height buckets for highest-label selection
                 "buckets": [[] for _ in range(two_n + 1)],
             }
@@ -152,9 +159,15 @@ class CsrPushRelabelState:
         self.current: list[int] = scratch["current"]
         self.in_queue: bytearray = scratch["in_queue"]
         self.height_count: list[int] = scratch["height_count"]
-        #: FIFO as a list + head cursor (amortized O(1) popleft)
+        #: FIFO of active vertices: run() iterates the list while
+        #: appending to it, so nothing is ever popped
         self.queue: list[int] = []
-        self.qhead: int = 0
+        #: True while ``excess`` is the exact net inflow of the current
+        #: flow at every vertex but ``s``.  Kept on this state, never in
+        #: the shared scratch: between solves the flow is rewritten
+        #: (cache rebinds, clamps, online releases) by code that does not
+        #: know about it.
+        self.excess_exact = False
 
         # operation counters (reported in MaxFlowResult.extra)
         self.pushes = 0
@@ -169,6 +182,7 @@ class CsrPushRelabelState:
         Cold starts (``preserve_flow=False``) skip the net-inflow excess
         recomputation: the flow buffer is all-zero after ``reset_flow``,
         so every excess is zero until the source arcs are saturated.
+        Warm starts skip it too while :attr:`excess_exact` holds.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
@@ -179,11 +193,12 @@ class CsrPushRelabelState:
         zeros_n = scratch["zeros_n"]
 
         self.queue = []
-        self.qhead = 0
         in_queue = self.in_queue
         in_queue[:] = bytes(n)
 
         excess = self.excess
+        carried = preserve_flow and self.excess_exact
+        self.excess_exact = False
         if preserve_flow:
             # Cancel preserved flow on arcs INTO the source (see the
             # list engine for why this is required for correctness).
@@ -191,15 +206,24 @@ class CsrPushRelabelState:
                 if b & 1 and flow[b ^ 1] > 0:
                     flow[b ^ 1] = 0
                     flow[b] = 0
-            # Exact excesses from the preserved assignment.
-            pos = first[0]
-            for v in range(n):
-                end = first[v + 1]
-                ev = 0
-                for k in range(pos, end):
-                    ev -= flow[adjf[k]]
-                excess[v] = ev
-                pos = end
+                    carried = False
+            if carried:
+                # the excess this state's last run (or a restore) left
+                # is already the exact net inflow: no O(n + m) pass
+                if invariants.ENABLED:
+                    invariants.check_carried_excess(
+                        g, s, excess, "CsrPushRelabelState.initialize"
+                    )
+            else:
+                # Exact excesses from the preserved assignment.
+                pos = first[0]
+                for v in range(n):
+                    end = first[v + 1]
+                    ev = 0
+                    for k in range(pos, end):
+                        ev -= flow[adjf[k]]
+                    excess[v] = ev
+                    pos = end
         else:
             # known-zero reset from the scratch template: one C-level
             # slice write, no per-solve [0] * m allocation
@@ -224,7 +248,7 @@ class CsrPushRelabelState:
         queue = self.queue
         if preserve_flow:
             for v in range(n):
-                if v != s and v != t and excess[v] > 0:
+                if excess[v] > 0 and v != t:
                     queue.append(v)
                     in_queue[v] = 1
         else:
@@ -254,8 +278,23 @@ class CsrPushRelabelState:
         Must be preceded by :meth:`initialize`.
         """
         if self.selection == "highest":
-            return self._run_highest()
-        return self._run_fifo()
+            value = self._run_highest()
+        else:
+            value = self._run_fifo()
+        self.excess_exact = True
+        return value
+
+    def save_excess(self) -> list[int] | None:
+        """See :meth:`PushRelabelState.save_excess` (one slice copy)."""
+        return self.excess[:] if self.excess_exact else None
+
+    def restore_excess(self, saved: list[int] | None) -> None:
+        """See :meth:`PushRelabelState.restore_excess`."""
+        if saved is None:
+            self.excess_exact = False
+        else:
+            self.excess[:] = saved
+            self.excess_exact = True
 
     # ------------------------------------------------------------------
     def _run_fifo(self) -> int:
@@ -276,11 +315,8 @@ class CsrPushRelabelState:
         two_n = 2 * n
         pushes = self.pushes
         relabels = self.relabels
-        qhead = self.qhead
 
-        while qhead < len(queue):
-            v = queue[qhead]
-            qhead += 1
+        for v in queue:
             in_queue[v] = 0
             if v == s or v == t:
                 continue
@@ -334,9 +370,6 @@ class CsrPushRelabelState:
                     if gr_interval and relabels_since_gr >= gr_interval:
                         excess[v] = ev
                         current[v] = i0
-                        self.pushes = pushes
-                        self.relabels = relabels
-                        self.qhead = qhead
                         self._global_relabel()
                         relabels_since_gr = 0
                         # heights changed globally: requeue v and restart
@@ -360,7 +393,6 @@ class CsrPushRelabelState:
 
         self.pushes = pushes
         self.relabels = relabels
-        self.qhead = qhead
         return self.excess[t]
 
     # ------------------------------------------------------------------
@@ -393,8 +425,7 @@ class CsrPushRelabelState:
                 del b[:]
         hmax = 0
         queue = self.queue
-        for k in range(self.qhead, len(queue)):
-            v = queue[k]
+        for v in queue:
             if in_queue[v]:
                 h = height[v]
                 if h < two_n:
@@ -404,7 +435,6 @@ class CsrPushRelabelState:
                 else:
                     in_queue[v] = 0
         del queue[:]
-        self.qhead = 0
 
         while hmax >= 0:
             bucket = buckets[hmax]
@@ -514,33 +544,30 @@ class CsrPushRelabelState:
 
         Identical distance semantics to the list engine's
         ``_global_relabel``; the height histogram and current-arc reset
-        ride along so no separate ``_rebuild_height_count`` pass runs.
+        ride along so no separate histogram pass runs.
         """
         g, s, t = self.g, self.s, self.t
         c = self.c
         n = g.n
         cap, flow = g.cap, g.flow
-        head = c.head_list
         first = c.first_list
-        adjf = c.adj_list
         scratch = self._scratch
+        twin_adj, tail = scratch["twin_adj"], scratch["tail"]
         self.global_relabels += 1
         INF = 2 * n
         height = self.height
         height[:] = scratch["inf_n"]
 
-        # backward BFS from t over residual twins (arc a: v -> w; flow
-        # can travel w -> v toward the sink iff twin residual > 0)
+        # backward BFS from t over residual twins: w is one step farther
+        # than v when its arc b = w -> v has residual capacity; the queue
+        # is a list the loop iterates while appending to it
         height[t] = 0
         bfs = [t]
-        qpos = 0
-        while qpos < len(bfs):
-            v = bfs[qpos]
-            qpos += 1
+        for v in bfs:
             hv1 = height[v] + 1
-            for a in adjf[first[v] : first[v + 1]]:
-                if cap[a ^ 1] - flow[a ^ 1] > 0:
-                    w = head[a]
+            for b in twin_adj[first[v] : first[v + 1]]:
+                if cap[b] > flow[b]:
+                    w = tail[b]
                     if height[w] > hv1:
                         height[w] = hv1
                         bfs.append(w)
@@ -554,14 +581,11 @@ class CsrPushRelabelState:
             dist_s[:] = scratch["inf_n"]
             dist_s[s] = 0
             bfs = [s]
-            qpos = 0
-            while qpos < len(bfs):
-                v = bfs[qpos]
-                qpos += 1
+            for v in bfs:
                 dv1 = dist_s[v] + 1
-                for a in adjf[first[v] : first[v + 1]]:
-                    if cap[a ^ 1] - flow[a ^ 1] > 0:
-                        w = head[a]
+                for b in twin_adj[first[v] : first[v + 1]]:
+                    if cap[b] > flow[b]:
+                        w = tail[b]
                         if dist_s[w] > dv1:
                             dist_s[w] = dv1
                             bfs.append(w)
@@ -631,6 +655,9 @@ def csr_push_relabel(
     state.relabels = 0
     state.global_relabels = 0
     state.gap_events = 0
+    # the caller may have rewritten the flow since the memoized state's
+    # last run: a warm start here accepts any preflow, so recompute
+    state.excess_exact = False
     state.initialize(preserve_flow=warm_start)
     state.run()
     return state.result()

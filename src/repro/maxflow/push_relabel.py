@@ -28,13 +28,15 @@ This is the engine inside the paper's Algorithms 4, 5 and 6.  Design notes:
 * **Warm starts.** :meth:`PushRelabelState.initialize` implements
   Algorithm 5 lines 3–14: clear the FIFO queue, saturate only the source
   arcs with positive residual ``delta`` (conserving all previously computed
-  flow), reset heights, zero the source excess.
+  flow), reset heights, zero the source excess.  The excess itself is
+  carried over from the previous :meth:`~PushRelabelState.run` (or a
+  prober's StoreFlows snapshot) while it is known exact, instead of
+  being recomputed from the flow (docs/ALGORITHMS.md, "Warm-probe cost").
 """
 
 from __future__ import annotations
 
-from collections import deque
-
+from repro import invariants
 from repro.graph.flownetwork import FlowNetwork
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
 
@@ -95,9 +97,19 @@ class PushRelabelState:
         self.excess: list[int] = [0] * n
         self.height: list[int] = [0] * n
         self.current: list[int] = [0] * n
-        self.queue: deque[int] = deque()
+        #: FIFO of active vertices: run() iterates the list while
+        #: appending to it, so nothing is ever popped
+        self.queue: list[int] = []
         self.in_queue: bytearray = bytearray(n)
         self.height_count: list[int] = [0] * (2 * n + 1)
+        #: True while ``excess`` is the exact net inflow of the current
+        #: flow at every vertex but ``s`` — set by :meth:`run` and
+        #: :meth:`restore_excess`, cleared by :meth:`initialize`
+        self.excess_exact = False
+        # BFS topology mirrors, see _twin_topology()
+        self._twin_arcs = -1
+        self._twin_adj: list[list[int]] = []
+        self._tail: list[int] = []
 
         # operation counters (reported in MaxFlowResult.extra)
         self.pushes = 0
@@ -113,15 +125,22 @@ class PushRelabelState:
         source arcs' *residual* slack ``delta = cap - flow`` is injected as
         new excess.  With ``preserve_flow=False`` the flow is zeroed first
         (black-box behaviour) and the source arcs are saturated in full.
+
+        A warm start reuses the excess list as it stands when
+        :attr:`excess_exact` says it matches the flow (after this state's
+        own :meth:`run`, or after :meth:`restore_excess`); otherwise the
+        per-vertex net inflow is recomputed in ``O(n + m)``.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
         if not preserve_flow:
             g.reset_flow()
         head, cap, flow, adj = g.arrays()
+        carried = preserve_flow and self.excess_exact
+        self.excess_exact = False
 
-        self.queue.clear()
-        self.in_queue = bytearray(n)
+        self.queue = []
+        in_queue = self.in_queue = bytearray(n)
 
         # Cancel preserved flow on arcs INTO the source.  Such flow leaves
         # residual s->w arcs, and no height labeling with height[s] = n can
@@ -131,9 +150,10 @@ class PushRelabelState:
         # transformation.  (Retrieval networks have no arcs into s; this
         # matters for the generic engine API.)
         for b in adj[s]:
-            if b % 2 == 1 and flow[b ^ 1] > 0:
+            if b & 1 and flow[b ^ 1] > 0:
                 flow[b ^ 1] = 0
                 flow[b] = 0
+                carried = False
 
         # Exact excesses from the preserved assignment: net inflow per
         # vertex.  For a valid starting *flow* this is zero away from s/t
@@ -141,18 +161,25 @@ class PushRelabelState:
         # makes warm starts from any valid *preflow* safe.  The sink excess
         # must reflect flow already delivered in earlier probes, otherwise
         # Algorithm 5's `excess[t] == |Q|` test cannot see it.
-        excess = [0] * n
-        for v in range(n):
-            ev = 0
-            for a in adj[v]:
-                ev -= flow[a]
-            excess[v] = ev
-        self.excess = excess
+        if carried:
+            excess = self.excess
+            if invariants.ENABLED:
+                invariants.check_carried_excess(
+                    g, s, excess, "PushRelabelState.initialize"
+                )
+        else:
+            excess = [0] * n
+            for v in range(n):
+                ev = 0
+                for a in adj[v]:
+                    ev -= flow[a]
+                excess[v] = ev
+            self.excess = excess
 
         # Algorithm 5 lines 4-10: saturate source arcs that still have slack
         # (delta = cap - flow), conserving all previously computed flow.
         for a in adj[s]:
-            if a % 2 == 1:
+            if a & 1:
                 continue
             if flow[a] > cap[a]:
                 # A caller lowered a source-arc capacity without restoring a
@@ -170,25 +197,50 @@ class PushRelabelState:
 
         # Algorithm 5 line 14: the source's (negative) excess is irrelevant.
         excess[s] = 0
+        queue = self.queue
         for v in range(n):
-            if v != s and v != t and excess[v] > 0:
-                self.queue.append(v)
-                self.in_queue[v] = 1
+            if excess[v] > 0 and v != t:
+                queue.append(v)
+                in_queue[v] = 1
 
         if self.initial_heights == "zero":
             self.height = [0] * n
             self.height[s] = n
+            self.current = [0] * n
+            self.height_count = height_count = [0] * (2 * n + 1)
+            height_count[0] = n - 1
+            height_count[n] += 1
         else:
             self._global_relabel()
 
-        self.current = [0] * n
-        self._rebuild_height_count()
+    def save_excess(self) -> list[int] | None:
+        """A copy of the excess list if it is exact for the current flow.
+
+        The push–relabel half of Algorithm 6's StoreFlows: stored beside
+        the flow snapshot, it lets the probe after a restore skip the
+        net-inflow recomputation.  ``None`` when not known exact.
+        """
+        return self.excess[:] if self.excess_exact else None
+
+    def restore_excess(self, saved: list[int] | None) -> None:
+        """Adopt a :meth:`save_excess` copy taken with the restored flow.
+
+        ``None`` (no exact copy was available) makes the next warm
+        :meth:`initialize` recompute the excess from the flow.
+        """
+        if saved is None:
+            self.excess_exact = False
+        else:
+            self.excess[:] = saved
+            self.excess_exact = True
 
     # ------------------------------------------------------------------
     def run(self) -> int:
         """Discharge until no active vertices remain; return flow value.
 
-        Must be preceded by :meth:`initialize`.
+        Must be preceded by :meth:`initialize`.  On return the excess
+        list is the exact net inflow of the flow at every vertex but the
+        source, so the next warm :meth:`initialize` can reuse it.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
@@ -199,9 +251,10 @@ class PushRelabelState:
         gr_interval = self.global_relabel_interval
         relabels_since_gr = 0
         two_n = 2 * n
+        pushes = self.pushes
+        relabels = self.relabels
 
-        while queue:
-            v = queue.popleft()
+        for v in queue:
             in_queue[v] = 0
             if v == s or v == t:
                 continue
@@ -224,14 +277,14 @@ class PushRelabelState:
                             flow[a ^ 1] -= delta
                             ev -= delta
                             excess[w] += delta
-                            self.pushes += 1
+                            pushes += 1
                             if w != s and w != t and not in_queue[w]:
                                 queue.append(w)
                                 in_queue[w] = 1
                     i += 1
                 else:
                     # relabel: lift v to 1 + min height over residual arcs
-                    self.relabels += 1
+                    relabels += 1
                     relabels_since_gr += 1
                     old_h = hv
                     new_h = two_n
@@ -260,7 +313,6 @@ class PushRelabelState:
                         current[v] = 0
                         self._global_relabel()
                         relabels_since_gr = 0
-                        self._rebuild_height_count()
                         # heights changed globally: requeue v and restart
                         if ev > 0 and not in_queue[v]:
                             queue.append(v)
@@ -280,6 +332,9 @@ class PushRelabelState:
                 queue.append(v)
                 in_queue[v] = 1
 
+        self.pushes = pushes
+        self.relabels = relabels
+        self.excess_exact = True
         return self.excess[t]
 
     # ------------------------------------------------------------------
@@ -304,57 +359,72 @@ class PushRelabelState:
 
         ``height[v] = dist(v, t)`` when the sink is residually reachable
         from ``v``; otherwise ``n + dist(v, s)``, which routes stranded
-        excess back toward the source (phase 2).
+        excess back toward the source (phase 2).  Resets the current-arc
+        pointers and rebuilds the height histogram in the same pass.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
-        head, cap, flow, adj = g.arrays()
+        cap, flow = g.cap, g.flow
+        twin_adj, tail = self._twin_topology()
         self.global_relabels += 1
         INF = 2 * n
         height = [INF] * n
 
-        # backward BFS from t: follow arcs *into* v with residual capacity,
-        # i.e. out-arcs a of v whose twin has residual (cap[a^1] - flow[a^1]).
+        # backward BFS from t: w is one step farther than v when its arc
+        # b = w -> v (the twin of v's out-arc v -> w) has residual
+        # capacity.  The queue is a list the loop iterates while
+        # appending to it.
         height[t] = 0
-        dq = deque([t])
-        while dq:
-            v = dq.popleft()
+        bfs = [t]
+        for v in bfs:
             hv1 = height[v] + 1
-            for a in adj[v]:
-                # arc a: v -> w; its twin w -> v is the arc whose residual
-                # capacity lets flow travel w -> v toward the sink.
-                if cap[a ^ 1] - flow[a ^ 1] > 0:
-                    w = head[a]
+            for b in twin_adj[v]:
+                if cap[b] > flow[b]:
+                    w = tail[b]
                     if height[w] > hv1:
                         height[w] = hv1
-                        dq.append(w)
+                        bfs.append(w)
 
         height[s] = n
         # backward BFS from s, but only when some vertex cannot reach t
         # (the common feasible-probe case has none — skip the second pass)
-        if any(h >= INF for h in height):
+        if INF in height:
             dist_s = [INF] * n
             dist_s[s] = 0
-            dq = deque([s])
-            while dq:
-                v = dq.popleft()
+            bfs = [s]
+            for v in bfs:
                 dv1 = dist_s[v] + 1
-                for a in adj[v]:
-                    if cap[a ^ 1] - flow[a ^ 1] > 0:
-                        w = head[a]
+                for b in twin_adj[v]:
+                    if cap[b] > flow[b]:
+                        w = tail[b]
                         if dist_s[w] > dv1:
                             dist_s[w] = dv1
-                            dq.append(w)
+                            bfs.append(w)
             for v in range(n):
                 if v != s and height[v] >= INF:
-                    height[v] = min(n + dist_s[v], 2 * n)
+                    hs = n + dist_s[v]
+                    height[v] = hs if hs < INF else INF
         self.height = height
         self.current = [0] * n
+        height_count = [0] * (INF + 1)
+        for h in height:
+            height_count[h] += 1
+        self.height_count = height_count
 
-    def _rebuild_height_count(self) -> None:
-        self.height_count = [0] * (2 * self.g.n + 1)
-        for h in self.height:
-            self.height_count[min(h, 2 * self.g.n)] += 1
+    def _twin_topology(self) -> tuple[list[list[int]], list[int]]:
+        """Per-vertex twin-arc lists and arc tails, for the BFS.
+
+        ``twin_adj[v][i] == adj[v][i] ^ 1`` is the arc *into* ``v``
+        paired with ``v``'s ``i``-th out-arc, and ``tail[b]`` its other
+        end.  Built once per topology (arcs are only ever appended, so
+        the arc count tells when to rebuild).
+        """
+        head, adj = self.g.head, self.g.adj
+        if self._twin_arcs != len(head):
+            self._twin_adj = [[a ^ 1 for a in arcs] for arcs in adj]
+            self._tail = [head[a ^ 1] for a in range(len(head))]
+            self._twin_arcs = len(head)
+        return self._twin_adj, self._tail
 
     # ------------------------------------------------------------------
     def result(self) -> MaxFlowResult:

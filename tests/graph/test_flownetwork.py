@@ -64,6 +64,55 @@ class TestConstruction:
         with pytest.raises(InvalidVertexError):
             g.add_arc(-1, 0, 1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_add_arcs_matches_per_arc_construction(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = 7
+        arcs = [
+            (rng.randrange(n), rng.randrange(n), rng.randrange(4))
+            for _ in range(20)
+        ]
+        one, bulk = FlowNetwork(n), FlowNetwork(n)
+        one.add_arc(0, 1, 3)
+        bulk.add_arc(0, 1, 3)  # bulk ids continue after existing arcs
+        ids = [one.add_arc(u, v, c) for u, v, c in arcs]
+        first = bulk.add_arcs(*map(list, zip(*arcs)))
+        assert first == ids[0]
+        assert (bulk.head, bulk.cap, bulk.flow, bulk.adj) == (
+            one.head, one.cap, one.flow, one.adj,
+        )
+        assert [bulk.tail(a) for a in range(bulk.num_arc_slots)] == [
+            one.tail(a) for a in range(one.num_arc_slots)
+        ]
+        for v in range(n):
+            assert bulk.in_degree(v) == one.in_degree(v)
+            assert bulk.forward_out_arcs(v) == one.forward_out_arcs(v)
+
+    def test_add_arcs_validates_like_add_arc(self):
+        g = FlowNetwork(3)
+        assert g.add_arcs([], [], []) == 0
+        with pytest.raises(InvalidArcError):
+            g.add_arcs([0, 1], [1], [1, 1])
+        with pytest.raises(InvalidVertexError):
+            g.add_arcs([0, 1], [1, 3], [1, 1])
+        with pytest.raises(InvalidArcError):
+            g.add_arcs([0], [1], [-1])
+        with pytest.raises(InvalidArcError):
+            g.add_arcs([0], [1], [0.5])
+        g2 = FlowNetwork(2)
+        g2.add_arcs([0], [1], [2.0])  # integral floats, as add_arc
+        assert g2.cap[0] == 2 and type(g2.cap[0]) is int
+
+    def test_add_arcs_invalidates_compiled_layout(self):
+        g = FlowNetwork(3)
+        g.add_arc(0, 1, 1)
+        c = g.compiled()
+        g.add_arcs([1], [2], [1])
+        assert g.compiled() is not c
+        assert g.compiled().num_arc_slots == 4
+
     def test_build_network_helper(self):
         g, ids = build_network(3, [(0, 1, 2), (1, 2, 3)])
         assert g.n == 3

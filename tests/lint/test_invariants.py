@@ -167,3 +167,81 @@ class TestProbeMonitor:
         phases = {p for mon in captured for (_, _, p) in mon.observations}
         assert "binary" in phases or "anchor" in phases
         assert "increment" in phases
+
+
+class TestCarriedExcess:
+    """Warm push–relabel probes reuse the excess their last run (or a
+    StoreFlows snapshot) left; armed, every such reuse is re-derived."""
+
+    @pytest.fixture(params=["list", "csr"])
+    def prober(self, request):
+        from repro.core.binary_csr import CsrProber
+        from repro.core.incremental_pr import SequentialProber
+
+        return SequentialProber() if request.param == "list" else CsrProber()
+
+    @staticmethod
+    def attached(prober):
+        from repro.core.network import RetrievalNetwork
+
+        net = RetrievalNetwork(small_problem())
+        prober.attach(net)
+        net.set_deadline_capacities(net.problem.theoretical_max_deadline())
+        return net
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = invariants.check_carried_excess
+
+        def check(graph, source, excess, context):
+            calls.append(context)
+            real(graph, source, excess, context)
+
+        monkeypatch.setattr(invariants, "check_carried_excess", check)
+        return calls
+
+    def test_flow_write_behind_prober_is_caught(self, armed, prober):
+        net = self.attached(prober)
+        assert prober.probe() == net.problem.num_buckets
+        # unroute one bucket's replica arc without telling the prober:
+        # antisymmetric, but the bucket and disk net inflows both move
+        g = net.graph
+        a = next(a for arcs in net.replica_arcs for a in arcs if g.flow[a])
+        g.flow[a] -= 1
+        g.flow[a ^ 1] += 1
+        with pytest.raises(InvariantViolation, match="carried excess"):
+            prober.probe()
+
+    def test_restore_without_exact_snapshot_recomputes(
+        self, armed, prober, monkeypatch
+    ):
+        net = self.attached(prober)
+        saved = prober.save()  # no run yet: excess not known exact
+        assert saved[1] is None
+        Q = net.problem.num_buckets
+        assert prober.probe() == Q
+        prober.restore(saved)  # back to the zero flow
+        calls = self.spy(monkeypatch)
+        # reusing the run's excess would count its Q delivered units
+        # twice; the recompute sees the restored (empty) sink
+        assert prober.probe() == Q
+        assert calls == []
+
+    def test_reset_flow_drops_carried_excess(self, armed, prober, monkeypatch):
+        net = self.attached(prober)
+        Q = net.problem.num_buckets
+        assert prober.probe() == Q
+        prober.reset_flow()
+        assert prober.save()[1] is None
+        calls = self.spy(monkeypatch)
+        assert prober.probe() == Q
+        assert calls == []
+
+    @pytest.mark.parametrize("solver", ["pr-binary", "pr-csr"])
+    def test_every_warm_probe_is_checked(self, armed, monkeypatch, solver):
+        calls = self.spy(monkeypatch)
+        schedule = solve(small_problem(), solver=solver)
+        # only the solve's first probe recomputes (the anchor at the
+        # closed-form tmin is infeasible here, so no reset follows it)
+        assert len(calls) == schedule.stats.probes - 1

@@ -9,14 +9,15 @@ import pytest
 
 from repro.decluster import make_placement
 from repro.errors import InfeasibleScheduleError, StorageConfigError
-from repro.service import SchedulerService
+from repro.service import SchedulerService, ServiceConfig
 from repro.storage import StorageSystem
 
 
 def make_service(N=5, time_fn=None, **kw):
     placement = make_placement("orthogonal", N, num_sites=2, seed=0)
     system = StorageSystem.homogeneous(2 * N, "cheetah", num_sites=2)
-    return SchedulerService(system, placement, time_fn=time_fn, **kw)
+    config = ServiceConfig(time_fn=time_fn, **kw)
+    return SchedulerService(system, placement, config=config)
 
 
 class FakeClock:
