@@ -1,10 +1,11 @@
 """Operation-count profiles per solver.
 
 Wall-clock comparisons inherit machine noise; operation counts do not.
-This study aggregates each solver's probes, capacity increments, pushes,
-relabels and augmentations over a shared query batch — the
-noise-free form of the paper's flow-conservation argument (the black box
-must redo from zero the pushes the integrated algorithm conserves).
+This study aggregates each solver's probes, certified midpoints,
+capacity increments, pushes, relabels and augmentations over a shared
+query batch — the noise-free form of the paper's flow-conservation
+argument (the black box must redo from zero the pushes the integrated
+algorithm conserves).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ class WorkProfile:
     pushes: int
     relabels: int
     augmentations: int
+    certified: int = 0
 
     @property
     def pushes_per_query(self) -> float:
@@ -67,11 +69,12 @@ def work_profile_study(
     reference: list[float] | None = None
     for name in solvers:
         solver = get_solver(name)
-        probes = increments = pushes = relabels = augments = 0
+        probes = certified = increments = pushes = relabels = augments = 0
         optima: list[float] = []
         for p in problems:
             sched = solver.solve(p)
             probes += sched.stats.probes
+            certified += sched.stats.certified
             increments += sched.stats.increments
             pushes += sched.stats.pushes
             relabels += sched.stats.relabels
@@ -92,5 +95,6 @@ def work_profile_study(
             pushes=pushes,
             relabels=relabels,
             augmentations=augments,
+            certified=certified,
         )
     return out

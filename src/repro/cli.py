@@ -622,8 +622,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         out = work_profile_study(args.experiment, args.scheme, args.n,
                                  args.qtype, args.load, **common)
         print(format_table(
-            ["solver", "probes", "increments", "pushes", "relabels", "augments"],
-            [[k, v.probes, v.increments, v.pushes, v.relabels,
+            ["solver", "probes", "certified", "increments", "pushes",
+             "relabels", "augments"],
+            [[k, v.probes, v.certified, v.increments, v.pushes, v.relabels,
               v.augmentations] for k, v in out.items()],
         ))
     return 0

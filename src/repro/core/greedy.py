@@ -10,6 +10,10 @@ time — far cheaper than any max-flow — but give up optimality:
 * :class:`RoundRobinSolver` — rotate across each bucket's replicas,
   ignoring disk parameters entirely (the "no scheduler" strawman).
 
+The greedy itself is :func:`greedy_finish_time`; Algorithm 6's skeleton
+also uses its makespan as an upper-bound certificate
+(:mod:`repro.core.scaling`, "Certified midpoints").
+
 `benchmarks/bench_greedy_gap.py` measures the response-time gap versus
 the optimum across the paper's workloads, and
 `examples/greedy_vs_optimal.py` walks through where and why greedy loses
@@ -19,10 +23,61 @@ max-flow formulation's residual arcs provide).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.problem import RetrievalProblem
 from repro.core.schedule import RetrievalSchedule, SolverStats
 
-__all__ = ["GreedyFinishTimeSolver", "RoundRobinSolver"]
+__all__ = ["GreedyFinishTimeSolver", "RoundRobinSolver", "greedy_finish_time"]
+
+
+def greedy_finish_time(
+    problem: RetrievalProblem, indices: Iterable[int] | None = None
+) -> tuple[list[int], list[int], float]:
+    """The marginal-finish-time greedy assignment, in one lean pass.
+
+    Visits buckets in ``indices`` order (default: input order) and puts
+    each on the replica disk whose finish time *after taking it* is
+    smallest, the lowest disk id winning ties.  Returns ``(choice,
+    counts, makespan)``: ``choice[i]`` is bucket ``i``'s disk,
+    ``counts[j]`` disk ``j``'s bucket count, and ``makespan`` the
+    assignment's response time.
+
+    Every finish time is evaluated as ``(D_j + X_j) + k * C_j``, the
+    expression :meth:`~repro.storage.StorageSystem.finish_time` uses, so
+    ``makespan`` is bit-identical to recomputing it from ``counts`` and
+    ``capacities_at(t) >= counts`` holds exactly at every ``t >=
+    makespan``.  Algorithm 6's skeleton relies on that to certify
+    binary-search midpoints (see :mod:`repro.core.scaling`).
+    """
+    sys_ = problem.system
+    disks = sys_.disks
+    base = [
+        sys_.site_of(j).delay_ms + d.initial_load_ms
+        for j, d in enumerate(disks)
+    ]
+    cost = [d.block_time_ms for d in disks]
+    # finish time of each disk after one more bucket
+    nxt = [b + c for b, c in zip(base, cost)]
+    counts = [0] * len(disks)
+    replicas = problem.replicas
+    choice = [0] * len(replicas)
+    order = range(len(replicas)) if indices is None else indices
+    for i in order:
+        reps = replicas[i]
+        best = reps[0]
+        best_t = nxt[best]
+        for d in reps:
+            t = nxt[d]
+            if t < best_t or (t == best_t and d < best):
+                best, best_t = d, t
+        choice[i] = best
+        k = counts[best] = counts[best] + 1
+        nxt[best] = base[best] + (k + 1) * cost[best]
+    makespan = max(
+        base[j] + k * cost[j] for j, k in enumerate(counts) if k > 0
+    )
+    return choice, counts, makespan
 
 
 class GreedyFinishTimeSolver:
@@ -44,25 +99,16 @@ class GreedyFinishTimeSolver:
         self.order = order
 
     def solve(self, problem: RetrievalProblem) -> RetrievalSchedule:
-        sys_ = problem.system
-        counts: dict[int, int] = {d: 0 for d in problem.replica_disks()}
-        indices = list(range(problem.num_buckets))
+        indices = None
         if self.order == "constrained-first":
-            indices.sort(key=lambda i: len(set(problem.replicas[i])))
-        assignment: dict[int, int] = {}
-        for i in indices:
-            best_d, best_t = -1, float("inf")
-            for d in sorted(set(problem.replicas[i])):
-                t = sys_.finish_time(d, counts[d] + 1)
-                if t < best_t:
-                    best_d, best_t = d, t
-            assignment[i] = best_d
-            counts[best_d] += 1
-        response = max(
-            sys_.finish_time(d, k) for d, k in counts.items() if k > 0
-        )
+            indices = sorted(
+                range(problem.num_buckets),
+                key=lambda i: len(set(problem.replicas[i])),
+            )
+        choice, _, response = greedy_finish_time(problem, indices)
         return RetrievalSchedule(
-            problem, assignment, response, SolverStats(), solver=self.name
+            problem, dict(enumerate(choice)), response, SolverStats(),
+            solver=self.name,
         )
 
 

@@ -23,6 +23,19 @@ solution for tmin", but that is a heuristic, not a proof.  We *probe*
 ``tmin`` first; in the (rare) case it is already feasible, the bracket is
 re-anchored to ``[0, tmin]`` so the binary search always starts from an
 infeasible lower end and optimality is unconditional.
+
+Certified midpoints (also in DESIGN.md): the closed-form ``tmax`` is
+loose, so many midpoints are feasible, and a feasible probe's only
+lasting effect is RestoreFlows.  Before the search the skeleton computes
+``bound``, the makespan of the marginal-finish-time greedy assignment
+(:func:`~repro.core.greedy.greedy_finish_time`).  ``capacity_at`` is
+the exact inverse of ``finish_time``, so that assignment fits the
+capacities of every deadline ``t >= bound``: such a midpoint is answered
+feasible without rescaling or probing.  At the top of every bisection
+step a flow-conserving prober's state already equals the stored
+snapshot (and a black-box probe starts from zero anyway), so eliding
+the probe changes no later probe, no bracket end and no schedule, only
+the operation counts.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ import time
 from typing import Any
 
 from repro import invariants
+from repro.core.greedy import greedy_finish_time
 from repro.core.increment import MinCostIncrementer
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
@@ -140,6 +154,28 @@ def _probe(
     return flow
 
 
+def _certify(
+    stats: SolverStats,
+    num_buckets: int,
+    t: float,
+    counts: list[int],
+    monitor: invariants.ProbeMonitor | None,
+) -> None:
+    """Answer the midpoint ``t`` feasible from the greedy certificate.
+
+    Recorded as a ``certified`` trace event (no operations, no wall
+    time) so a trace still lists the whole search path; ``monitor``
+    (armed sanitizer only) checks that ``counts`` fits the capacities at
+    ``t`` and watches monotonicity against the probed deadlines.
+    """
+    stats.certified += 1
+    trace = active_trace()
+    if trace is not None:
+        trace.record(phase="certified", t=t, flow=num_buckets, feasible=True)
+    if monitor is not None:
+        monitor.after_certified(t, counts)
+
+
 def binary_scaling_solve(
     problem: RetrievalProblem,
     prober: Prober,
@@ -184,9 +220,17 @@ def binary_scaling_solve(
         prober.reset_flow()
     saved = prober.save()
 
+    # upper-bound certificate: the greedy assignment fits every t >= bound
+    _, counts, bound = greedy_finish_time(problem)
+
     # lines 12-37: binary search with flow store/restore
     while tmax - tmin >= min_speed:
         tmid = tmin + (tmax - tmin) * 0.5
+        if tmid >= bound:
+            # a probe here would be feasible and then restored: skip it
+            _certify(stats, Q, tmid, counts, monitor)
+            tmax = tmid
+            continue
         net.set_deadline_capacities(tmid)
         flow = _probe(prober, stats, Q, tmid, "binary", monitor)
         if flow >= Q:

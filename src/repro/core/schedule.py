@@ -22,6 +22,11 @@ class SolverStats:
     ----------
     probes:
         Max-flow runs (binary-scaling iterations count one each).
+    certified:
+        Binary-scaling midpoints answered feasible from the greedy
+        upper-bound certificate instead of a max-flow run (see
+        :mod:`repro.core.scaling`); ``probes + certified`` is the
+        number of points the search visited.
     increments:
         ``IncrementMinCost`` / uniform-increment steps performed.
     pushes, relabels, augmentations:
@@ -31,6 +36,7 @@ class SolverStats:
     """
 
     probes: int = 0
+    certified: int = 0
     increments: int = 0
     pushes: int = 0
     relabels: int = 0

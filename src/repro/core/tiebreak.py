@@ -85,6 +85,7 @@ def solve_min_work(
     assignment = net.assignment()
     stats = SolverStats(
         probes=baseline.stats.probes + 1,
+        certified=baseline.stats.certified,
         increments=baseline.stats.increments,
         pushes=baseline.stats.pushes,
         relabels=baseline.stats.relabels,

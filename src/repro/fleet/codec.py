@@ -422,7 +422,9 @@ def problem_from_json(text: str) -> RetrievalProblem:
 # schedules
 # ----------------------------------------------------------------------
 #: SolverStats counter fields shipped across the boundary, in order
-_STATS_COUNTERS = ("probes", "increments", "pushes", "relabels", "augmentations")
+_STATS_COUNTERS = (
+    "probes", "certified", "increments", "pushes", "relabels", "augmentations",
+)
 
 
 def encode_schedule(

@@ -9,6 +9,9 @@ invariants hold:
 * **capacity respect** — raising the disk→sink capacities
   ``floor((t - D_j - X_j) / C_j)`` never leaves an arc carrying more
   flow than its capacity (after :meth:`clamp_flow_to_sink_caps`);
+* **certificate soundness** — a binary-scaling midpoint answered
+  feasible without a probe must admit the greedy assignment that
+  certified it: its per-disk counts fit ``capacities_at(t)``;
 * **probe monotonicity** — feasibility of a candidate deadline ``t`` is
   monotone: once some ``t`` probes feasible, no larger ``t`` may probe
   infeasible (the property binary scaling searches over).
@@ -38,6 +41,7 @@ __all__ = [
     "ProbeMonitor",
     "check_antisymmetry",
     "check_carried_excess",
+    "check_certificate",
     "check_clamped_network",
     "check_valid_flow",
     "enabled_from_env",
@@ -108,6 +112,21 @@ def check_carried_excess(
             )
 
 
+def check_certificate(system, counts: list[int], t: float, context: str) -> None:
+    """A certified deadline must admit the certifying assignment.
+
+    ``counts`` is the greedy's per-disk bucket count; every entry must
+    fit the exact disk→sink capacity at ``t``.  O(N).
+    """
+    caps = system.capacities_at(t)
+    for j, (k, cap) in enumerate(zip(counts, caps)):
+        if k > cap:
+            raise InvariantViolation(
+                f"{context}: certified t={t} but disk {j} holds {k} "
+                f"greedy buckets over capacity {cap}"
+            )
+
+
 def check_clamped_network(network, context: str) -> None:
     """After clamping, the warm flow must sit within every capacity."""
     g = network.graph
@@ -132,7 +151,8 @@ class ProbeMonitor:
     sink capacities are a pure function of the candidate ``t``) is
     recorded; a feasible probe below an infeasible one is a monotonicity
     violation.  Increment-phase probes are validity-checked only — their
-    capacities are not parameterised by ``t``.
+    capacities are not parameterised by ``t``.  Certified midpoints
+    (:meth:`after_certified`) count as feasible deadline observations.
     """
 
     #: phases whose capacities encode the probed deadline
@@ -151,8 +171,19 @@ class ProbeMonitor:
             net.graph, net.source, net.sink,
             f"after {phase} probe at t={t}",
         )
-        if phase not in self.DEADLINE_PHASES:
-            return
+        if phase in self.DEADLINE_PHASES:
+            self._observe_deadline(t, feasible)
+
+    def after_certified(self, t: float, counts: list[int]) -> None:
+        """A midpoint answered feasible by the greedy certificate."""
+        self.observations.append((t, True, "certified"))
+        check_certificate(
+            self.network.problem.system, counts, t,
+            f"certified midpoint t={t}",
+        )
+        self._observe_deadline(t, True)
+
+    def _observe_deadline(self, t: float, feasible: bool) -> None:
         if feasible:
             self._min_feasible_t = min(self._min_feasible_t, t)
         else:

@@ -4,8 +4,8 @@ Every solver in :data:`repro.core.api.SOLVERS` flows through
 :func:`repro.core.api.solve`, so this module is the single place where a
 finished :class:`~repro.core.schedule.RetrievalSchedule` turns into
 metrics — per-solver solve counts, wall-time and response-time
-histograms, and operation counters (probes, increments, pushes,
-relabels, augmentations).
+histograms, and operation counters (probes, certified midpoints,
+increments, pushes, relabels, augmentations).
 
 Global metrics are **off by default** (the acceptance bar for this layer
 is that un-instrumented solves stay at seed speed): :func:`observe_solve`
@@ -86,7 +86,10 @@ def observe_solve(schedule, registry: MetricsRegistry | None = None) -> None:
         labels,
         buckets=OP_BUCKETS,
     ).observe(stats.probes)
-    for op in ("probes", "increments", "pushes", "relabels", "augmentations"):
+    for op in (
+        "probes", "certified", "increments", "pushes", "relabels",
+        "augmentations",
+    ):
         registry.counter(
             f"repro_{op}_total", f"Total {op} across solves.", labels
         ).inc(getattr(stats, op))

@@ -13,6 +13,10 @@ wall time, tagged with the scaling phase that issued it:
 ``binary``
     the bisection probes (lines 12-37); infeasible candidates ascend,
     feasible candidates descend as the bracket narrows.
+``certified``
+    a bisection midpoint at or above the greedy makespan, answered
+    feasible without a max-flow run (no operations, no wall time); it
+    lowers the upper bracket end like a feasible ``binary`` probe.
 ``increment``
     the ``IncrementMinCost`` phase (Algorithm 3/5); candidates are the
     nondecreasing min-cost finish times.
@@ -42,7 +46,10 @@ __all__ = [
 ]
 
 #: Recognised phase tags, in the order a binary-scaled solve emits them.
-PHASES = ("anchor", "binary", "increment", "result")
+PHASES = ("anchor", "binary", "certified", "increment", "result")
+
+#: Phases that are not max-flow runs: excluded from :meth:`ProbeTrace.probes`.
+_NOT_PROBES = frozenset({"certified", "result"})
 
 
 @dataclass(frozen=True)
@@ -144,12 +151,17 @@ class ProbeTrace:
 
     # ------------------------------------------------------------------
     def probes(self, phase: str | None = None) -> list[ProbeEvent]:
-        """The probe events (``result`` excluded), optionally one phase."""
+        """The max-flow probe events (``certified`` and ``result``
+        excluded), optionally one phase."""
         return [
             e
             for e in self.events
-            if e.phase != "result" and (phase is None or e.phase == phase)
+            if e.phase not in _NOT_PROBES and (phase is None or e.phase == phase)
         ]
+
+    def certified(self) -> list[ProbeEvent]:
+        """The midpoints answered from the greedy certificate."""
+        return [e for e in self.events if e.phase == "certified"]
 
     @property
     def final(self) -> ProbeEvent:
@@ -163,6 +175,7 @@ class ProbeTrace:
         probes = self.probes()
         return {
             "probes": len(probes),
+            "certified": len(self.certified()),
             "pushes": sum(e.pushes for e in probes),
             "relabels": sum(e.relabels for e in probes),
             "augmentations": sum(e.augmentations for e in probes),

@@ -61,6 +61,7 @@ class TestAnalyzeCommand:
                      "--experiment", "1", "--load", "3"]) == 0
         out = capsys.readouterr().out
         assert "pushes" in out and "blackbox-binary" in out
+        assert "certified" in out
 
     def test_unknown_study_rejected(self):
         with pytest.raises(SystemExit):

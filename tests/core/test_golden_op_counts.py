@@ -1,12 +1,13 @@
-"""Golden operation counts for the two Algorithm 6 push–relabel solvers.
+"""Golden operation counts for the binary-scaling skeleton's solvers.
 
 The differential suite compares ``pr-binary`` and ``pr-csr`` with each
 other, so a mistake both engines share (say, in how a warm probe seeds
 its excess) passes it.  This test pins each solve's
-``(response_time_ms, assignment, probes, increments, pushes, relabels)``
-on a fixed, seeded set of generalized instances (Table IV experiment 5:
-heterogeneous disks, random delays and initial loads) to recorded
-values.  Any change to the schedules or to the operation counts — and so
+``(response_time_ms, assignment, probes, certified, increments, pushes,
+relabels)`` for the two Algorithm 6 push–relabel solvers, the black-box
+baseline and ``ff-binary`` on a fixed, seeded set of generalized
+instances (Table IV experiment 5: heterogeneous disks, random delays and
+initial loads) to recorded values.  Any change to the schedules or to the operation counts — and so
 to the paper's counts and figures — fails here.
 
 Regenerate the data file only for a deliberate change in behaviour::
@@ -28,7 +29,7 @@ from repro.workloads.experiments import build_problem, build_system
 
 DATA = Path(__file__).with_name("data") / "golden_op_counts.json"
 
-SOLVERS = ("pr-binary", "pr-csr")
+SOLVERS = ("pr-binary", "pr-csr", "blackbox-binary", "ff-binary")
 
 #: (N, query type, load, instance seeds) — 24 instances in all
 CELLS = [
@@ -60,6 +61,7 @@ def observe(problem, solver: str) -> dict:
         "response_time_ms": sched.response_time_ms,
         "assignment": [sched.assignment[i] for i in range(problem.num_buckets)],
         "probes": st.probes,
+        "certified": st.certified,
         "increments": st.increments,
         "pushes": st.pushes,
         "relabels": st.relabels,

@@ -43,7 +43,11 @@ class TestPhaseStructure:
     @pytest.mark.parametrize("solver", BINARY_SOLVERS)
     def test_phases_in_scaling_order(self, solver):
         _, tr = traced(random_problem(np.random.default_rng(0)), solver)
-        order = {"anchor": 0, "binary": 1, "increment": 2, "result": 3}
+        # certified midpoints interleave with the binary probes
+        order = {
+            "anchor": 0, "binary": 1, "certified": 1, "increment": 2,
+            "result": 3,
+        }
         ranks = [order[e.phase] for e in tr]
         assert ranks == sorted(ranks)
         assert len(tr.probes("anchor")) == 1

@@ -156,8 +156,9 @@ class TestScheduleRoundTrip:
         assert back.response_time_ms == schedule.response_time_ms
         assert back.assignment == schedule.assignment
         assert back.solver == schedule.solver
-        for name in ("probes", "increments", "pushes", "relabels",
-                     "augmentations"):
+        assert schedule.stats.certified > 0  # the counter is exercised
+        for name in ("probes", "certified", "increments", "pushes",
+                     "relabels", "augmentations"):
             assert getattr(back.stats, name) == getattr(schedule.stats, name)
 
     def test_huge_stats_counters_survive(self):
@@ -278,8 +279,9 @@ class TestFlatPayloadRoundTrip:
         assert back.response_time_ms == schedule.response_time_ms
         assert back.assignment == schedule.assignment
         assert back.solver == schedule.solver
-        for name in ("probes", "increments", "pushes", "relabels",
-                     "augmentations"):
+        assert schedule.stats.certified > 0  # the counter is exercised
+        for name in ("probes", "certified", "increments", "pushes",
+                     "relabels", "augmentations"):
             assert getattr(back.stats, name) == getattr(schedule.stats, name)
 
     def test_huge_stats_counters_survive_v2(self):

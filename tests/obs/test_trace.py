@@ -114,6 +114,8 @@ class TestSolveMetricsHook:
         assert mine.get("repro_solve_total", {"solver": "pr-binary"}).value == 1
         probes = mine.get("repro_probes_total", {"solver": "pr-binary"})
         assert probes.value == sched.stats.probes
+        certified = mine.get("repro_certified_total", {"solver": "pr-binary"})
+        assert certified.value == sched.stats.certified
 
     def test_observe_solve_is_reusable_standalone(self):
         reg = MetricsRegistry()

@@ -181,7 +181,9 @@ def test_solvers_match_brute_force_bit_for_bit(seed):
 
 #: the deterministic SolverStats counters (wall_time_s is excluded —
 #: it is the one field allowed to differ across the boundary)
-STATS_COUNTERS = ("probes", "increments", "pushes", "relabels", "augmentations")
+STATS_COUNTERS = (
+    "probes", "certified", "increments", "pushes", "relabels", "augmentations",
+)
 
 N_FLEET_INSTANCES = 16
 
