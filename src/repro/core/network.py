@@ -38,31 +38,37 @@ class RetrievalNetwork:
 
         # One bulk append, arcs in the order (and so with the ids) of
         # per-arc construction: per bucket its source arc then its
-        # deduplicated replica arcs, then every disk's sink arc.
+        # deduplicated replica arcs in disk order, then every disk's
+        # sink arc.  The paper's two-copy buckets skip set/sorted.
         dbase = 2 + Q
         tails: list[int] = []
         heads: list[int] = []
         for bv, reps in enumerate(problem.replicas, 2):
-            disks = sorted(set(reps))
-            tails.append(0)
-            heads.append(bv)
-            tails.extend([bv] * len(disks))
-            heads.extend([dbase + d for d in disks])
+            if len(reps) == 2 and reps[0] != reps[1]:
+                d0, d1 = reps
+                if d1 < d0:
+                    d0, d1 = d1, d0
+                tails += (0, bv, bv)
+                heads += (bv, dbase + d0, dbase + d1)
+            else:
+                disks = sorted(set(reps))
+                tails.append(0)
+                heads.append(bv)
+                tails.extend([bv] * len(disks))
+                heads.extend([dbase + d for d in disks])
         base = 2 * len(tails)
         tails.extend(range(dbase, dbase + N))
         heads.extend([1] * N)
         g.add_arcs(tails, heads, [1] * (len(tails) - N) + [0] * N)
 
         # read the arc ids back so these lists share the graph's int objects
-        fwd = g.forward_out_arcs
+        fwd = g.forward_arc_lists()
         #: source→bucket arc ids, indexed by bucket
-        self.source_arcs: list[int] = list(fwd(0))
+        self.source_arcs: list[int] = list(fwd[0])
         #: bucket→disk arc ids per bucket (deduplicated replicas)
-        self.replica_arcs: list[list[int]] = [
-            list(fwd(bv)) for bv in range(2, dbase)
-        ]
+        self.replica_arcs: list[list[int]] = list(map(list, fwd[2:dbase]))
         #: disk→sink arc ids, indexed by disk
-        self.sink_arcs: list[int] = [fwd(v)[0] for v in range(dbase, dbase + N)]
+        self.sink_arcs: list[int] = [arcs[0] for arcs in fwd[dbase:]]
         # The disk→sink arcs are appended last, so their forward slots
         # form the arithmetic run base, base+2, ... (twins at the odd
         # slots); the per-probe rescale writes all N capacities through
@@ -316,19 +322,19 @@ class RetrievalNetwork:
         Raises if the flow is not a complete retrieval (value < |Q|).
         """
         g = self.graph
+        head, flow = g.head, g.flow
+        dbase = 2 + self.problem.num_buckets
         out: dict[int, int] = {}
         for i, arcs in enumerate(self.replica_arcs):
-            chosen = None
             for a in arcs:
-                if g.flow[a] > 0:
-                    chosen = self.disk_of_vertex(g.head[a])
+                if flow[a] > 0:
+                    out[i] = head[a] - dbase
                     break
-            if chosen is None:
+            else:
                 raise InfeasibleScheduleError(
                     f"bucket {i} unrouted: flow value "
                     f"{self.flow_value()} < |Q| = {self.problem.num_buckets}"
                 )
-            out[i] = chosen
         return out
 
     def response_time(self) -> float:

@@ -83,9 +83,8 @@ class RetrievalProblem:
                 f"placement has {placement.total_disks} disks, "
                 f"system has {system.num_disks}"
             )
-        reps = tuple(
-            placement.allocation.replicas_of(i, j) for (i, j) in bucket_coords
-        )
+        replicas_of = placement.allocation.replicas_of
+        reps = tuple([replicas_of(i, j) for (i, j) in bucket_coords])
         return cls(system, reps, labels=tuple(bucket_coords))
 
     # ------------------------------------------------------------------

@@ -110,10 +110,12 @@ class ReplicatedAllocation:
 
     All copies must share grid dimensions; they may be declustered over
     the *same* disk pool (single-site replication) or over disjoint pools
-    (multi-site, after :meth:`Allocation.relabeled`).
+    (multi-site, after :meth:`Allocation.relabeled`).  The copies are
+    fixed once constructed: :meth:`replicas_of` reads them through a
+    lookup table built on its first call.
     """
 
-    __slots__ = ("copies",)
+    __slots__ = ("copies", "_table")
 
     def __init__(self, copies: Sequence[Allocation]) -> None:
         if not copies:
@@ -125,6 +127,9 @@ class ReplicatedAllocation:
                     f"copy {k} has shape {c.grid.shape}, expected {shape}"
                 )
         self.copies = list(copies)
+        #: ``_table[i][j] == replicas_of(i, j)`` for in-range indices;
+        #: built lazily, so constructing a placement stays cheap
+        self._table: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
     @property
     def num_copies(self) -> int:
@@ -144,8 +149,20 @@ class ReplicatedAllocation:
         return max(c.num_disks for c in self.copies)
 
     def replicas_of(self, i: int, j: int) -> tuple[int, ...]:
-        """Disk ids holding bucket ``(i, j)``, one per copy (may repeat)."""
-        return tuple(c.disk_of(i, j) for c in self.copies)
+        """Disk ids holding bucket ``(i, j)``, one per copy (may repeat).
+
+        Wraparound indices are allowed, as in :meth:`Allocation.disk_of`.
+        """
+        table = self._table
+        if table is None:
+            table = self._table = self._build_table()
+        row = table[i % len(table)]
+        return row[j % len(row)]
+
+    def _build_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every bucket's replica tuple, as nested tuples of Python ints."""
+        grids = [c.grid.tolist() for c in self.copies]
+        return tuple(tuple(zip(*rows)) for rows in zip(*grids))
 
     def iter_buckets(self) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
         """Yield ``((i, j), replicas)`` for every bucket."""

@@ -290,6 +290,22 @@ class FlowNetwork:
         self._check_vertex(v)
         return self._fwd[v]
 
+    def forward_arc_lists(self) -> list[list[int]]:
+        """Every vertex's :meth:`forward_out_arcs` list, indexed by vertex.
+
+        The live lists, for builders that read many vertices at once
+        without a checked call per vertex — treat them as read-only.
+        """
+        return self._fwd
+
+    def tails(self) -> list[int]:
+        """The live per-slot tail list: ``tails()[a]`` is arc ``a``'s tail.
+
+        For engines that walk arcs backwards (the exact-height BFS);
+        treat it as read-only.
+        """
+        return self._tail
+
     def in_degree(self, v: int) -> int:
         """Number of original arcs entering ``v`` — O(1).
 

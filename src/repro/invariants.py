@@ -1,6 +1,6 @@
 """Runtime invariant sanitizer (``REPRO_CHECK_INVARIANTS=1``).
 
-The paper's integrated algorithms are correct only while three unstated
+The paper's integrated algorithms are correct only while these unstated
 invariants hold:
 
 * **flow conservation** — the assignment inside a
@@ -14,7 +14,11 @@ invariants hold:
   certified it: its per-disk counts fit ``capacities_at(t)``;
 * **probe monotonicity** — feasibility of a candidate deadline ``t`` is
   monotone: once some ``t`` probes feasible, no larger ``t`` may probe
-  infeasible (the property binary scaling searches over).
+  infeasible (the property binary scaling searches over);
+* **exact heights** — the push–relabel engine's global relabel leaves
+  every height at its residual BFS distance (to ``t``, else ``n`` +
+  distance to ``s``), with a matching histogram and reset current-arc
+  pointers.
 
 This module turns them into machine-checked assertions.  The checks are
 **off by default** and cost nothing on the default path: every hook site
@@ -43,6 +47,7 @@ __all__ = [
     "check_carried_excess",
     "check_certificate",
     "check_clamped_network",
+    "check_exact_heights",
     "check_valid_flow",
     "enabled_from_env",
 ]
@@ -110,6 +115,68 @@ def check_carried_excess(
                 f"{context}: carried excess {excess[v]} at vertex {v} != "
                 f"net inflow {inflow} (flow changed behind the prober)"
             )
+
+
+def check_exact_heights(
+    graph,
+    source: int,
+    sink: int,
+    height: list[int],
+    height_count: list[int],
+    current: list[int],
+    context: str,
+) -> None:
+    """A global relabel must leave exact heights, histogram and pointers.
+
+    Recomputes the reference the simple way: one full backward BFS from
+    ``sink`` and one from ``source`` over the residual graph, then
+    ``height[v] = dist(v, sink)`` if finite, else ``n + dist(v,
+    source)`` capped at ``2n``, ``height[source] = n``, and a separate
+    histogram pass.  Every current-arc pointer must be back at 0.
+    O(n + m).
+    """
+    n = graph.n
+    inf = 2 * n
+    head, cap, flow, adj = graph.arrays()
+
+    def dist_to(root: int) -> list[int]:
+        dist = [inf] * n
+        dist[root] = 0
+        frontier = [root]
+        for v in frontier:
+            for a in adj[v]:
+                # head[a] is one step from v when a's twin, the arc
+                # head[a] -> v, has residual capacity
+                w = head[a]
+                if cap[a ^ 1] - flow[a ^ 1] > 0 and dist[w] == inf:
+                    dist[w] = dist[v] + 1
+                    frontier.append(w)
+        return dist
+
+    to_sink = dist_to(sink)
+    to_source = dist_to(source)
+    expected = [
+        d if d < inf else min(n + to_source[v], inf)
+        for v, d in enumerate(to_sink)
+    ]
+    expected[source] = n
+    for v in range(n):
+        if height[v] != expected[v]:
+            raise InvariantViolation(
+                f"{context}: vertex {v} has height {height[v]}, its exact "
+                f"residual distance label is {expected[v]}"
+            )
+    counts = [0] * (inf + 1)
+    for h in expected:
+        counts[h] += 1
+    if list(height_count) != counts:
+        raise InvariantViolation(
+            f"{context}: height histogram does not match the heights"
+        )
+    if any(current):
+        raise InvariantViolation(
+            f"{context}: current-arc pointers not reset by the global relabel"
+        )
 
 
 def check_certificate(system, counts: list[int], t: float, context: str) -> None:

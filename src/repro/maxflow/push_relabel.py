@@ -106,10 +106,9 @@ class PushRelabelState:
         #: flow at every vertex but ``s`` — set by :meth:`run` and
         #: :meth:`restore_excess`, cleared by :meth:`initialize`
         self.excess_exact = False
-        # BFS topology mirrors, see _twin_topology()
+        # BFS topology mirror, see _twin_topology()
         self._twin_arcs = -1
         self._twin_adj: list[list[int]] = []
-        self._tail: list[int] = []
 
         # operation counters (reported in MaxFlowResult.extra)
         self.pushes = 0
@@ -139,21 +138,19 @@ class PushRelabelState:
         carried = preserve_flow and self.excess_exact
         self.excess_exact = False
 
-        self.queue = []
-        in_queue = self.in_queue = bytearray(n)
-
         # Cancel preserved flow on arcs INTO the source.  Such flow leaves
         # residual s->w arcs, and no height labeling with height[s] = n can
         # satisfy the validity invariant across them — phase 1 could then
         # terminate before the preflow is maximum.  Cancelling converts
         # that flow into excess at the arcs' tails, a legal preflow
-        # transformation.  (Retrieval networks have no arcs into s; this
-        # matters for the generic engine API.)
-        for b in adj[s]:
-            if b & 1 and flow[b ^ 1] > 0:
-                flow[b ^ 1] = 0
-                flow[b] = 0
-                carried = False
+        # transformation.  (Retrieval networks have no arcs into s, so
+        # they skip this pass; it matters for the generic engine API.)
+        if g.in_degree(s):
+            for b in adj[s]:
+                if b & 1 and flow[b ^ 1] > 0:
+                    flow[b ^ 1] = 0
+                    flow[b] = 0
+                    carried = False
 
         # Exact excesses from the preserved assignment: net inflow per
         # vertex.  For a valid starting *flow* this is zero away from s/t
@@ -169,35 +166,37 @@ class PushRelabelState:
                 )
         else:
             excess = [0] * n
-            for v in range(n):
-                ev = 0
-                for a in adj[v]:
-                    ev -= flow[a]
-                excess[v] = ev
+            # a zero flow (a fresh network, a reset, a black-box probe)
+            # has zero net inflow everywhere: skip the O(n + m) sum
+            if any(flow):
+                for v in range(n):
+                    ev = 0
+                    for a in adj[v]:
+                        ev -= flow[a]
+                    excess[v] = ev
             self.excess = excess
 
         # Algorithm 5 lines 4-10: saturate source arcs that still have slack
         # (delta = cap - flow), conserving all previously computed flow.
-        for a in adj[s]:
-            if a & 1:
-                continue
-            if flow[a] > cap[a]:
-                # A caller lowered a source-arc capacity without restoring a
-                # compatible flow; refuse to solve a corrupted instance.
-                raise ValueError(
-                    "flow exceeds capacity on a source arc; restore a "
-                    "compatible flow before re-initializing (see DESIGN.md)"
-                )
+        for a in g.forward_out_arcs(s):
             delta = cap[a] - flow[a]
             if delta > 0:
                 v = head[a]
                 flow[a] += delta
                 flow[a ^ 1] -= delta
                 excess[v] += delta
+            elif delta < 0:
+                # A caller lowered a source-arc capacity without restoring a
+                # compatible flow; refuse to solve a corrupted instance.
+                raise ValueError(
+                    "flow exceeds capacity on a source arc; restore a "
+                    "compatible flow before re-initializing (see DESIGN.md)"
+                )
 
         # Algorithm 5 line 14: the source's (negative) excess is irrelevant.
         excess[s] = 0
-        queue = self.queue
+        self.queue = queue = []
+        in_queue = self.in_queue = bytearray(n)
         for v in range(n):
             if excess[v] > 0 and v != t:
                 queue.append(v)
@@ -343,12 +342,9 @@ class PushRelabelState:
         g = self.g
         n = g.n
         self.gap_events += 1
-        height, height_count = self.height, self.height_count
-        for v in range(n):
-            if v == self.s:
-                continue
-            h = height[v]
-            if gap_h < h < n:
+        s, height, height_count = self.s, self.height, self.height_count
+        for v, h in enumerate(height):
+            if gap_h < h < n and v != s:
                 height_count[h] -= 1
                 height[v] = n + 1
                 height_count[n + 1] += 1
@@ -360,71 +356,85 @@ class PushRelabelState:
         ``height[v] = dist(v, t)`` when the sink is residually reachable
         from ``v``; otherwise ``n + dist(v, s)``, which routes stranded
         excess back toward the source (phase 2).  Resets the current-arc
-        pointers and rebuilds the height histogram in the same pass.
+        pointers and counts the height histogram as the BFS assigns each
+        height (docs/ALGORITHMS.md, "Cold-path bookkeeping").
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
-        cap, flow = g.cap, g.flow
-        twin_adj, tail = self._twin_topology()
+        cap, flow, tail = g.cap, g.flow, g.tails()
+        twin_adj = self._twin_topology()
         self.global_relabels += 1
         INF = 2 * n
         height = [INF] * n
+        height_count = [0] * (INF + 1)
 
         # backward BFS from t: w is one step farther than v when its arc
         # b = w -> v (the twin of v's out-arc v -> w) has residual
         # capacity.  The queue is a list the loop iterates while
-        # appending to it.
+        # appending to it; a vertex gets its height, and is counted in
+        # the histogram, when the BFS first reaches it.
         height[t] = 0
+        height_count[0] = 1
         bfs = [t]
         for v in bfs:
             hv1 = height[v] + 1
             for b in twin_adj[v]:
                 if cap[b] > flow[b]:
                     w = tail[b]
-                    if height[w] > hv1:
+                    if height[w] == INF:
                         height[w] = hv1
+                        height_count[hv1] += 1
                         bfs.append(w)
 
+        hs = height[s]
+        reached = len(bfs)
+        if hs < INF:
+            height_count[hs] -= 1
+        else:
+            reached += 1
         height[s] = n
-        # backward BFS from s, but only when some vertex cannot reach t
-        # (the common feasible-probe case has none — skip the second pass)
-        if INF in height:
-            dist_s = [INF] * n
-            dist_s[s] = 0
+        height_count[n] += 1
+        # backward BFS from s over the vertices left at INF, needed only
+        # when some vertex cannot reach t and s cannot reach t either
+        # (if s could, so could every vertex that reaches s).  Its
+        # distances are exact: a shortest residual path from a vertex
+        # that cannot reach t never passes through one that can.
+        if reached < n and hs == INF:
             bfs = [s]
             for v in bfs:
-                dv1 = dist_s[v] + 1
+                hv1 = height[v] + 1
                 for b in twin_adj[v]:
                     if cap[b] > flow[b]:
                         w = tail[b]
-                        if dist_s[w] > dv1:
-                            dist_s[w] = dv1
+                        if height[w] == INF:
+                            height[w] = hv1
+                            height_count[hv1] += 1
                             bfs.append(w)
-            for v in range(n):
-                if v != s and height[v] >= INF:
-                    hs = n + dist_s[v]
-                    height[v] = hs if hs < INF else INF
+            reached += len(bfs) - 1
+        # the vertices no BFS reached keep INF
+        height_count[INF] += n - reached
         self.height = height
-        self.current = [0] * n
-        height_count = [0] * (INF + 1)
-        for h in height:
-            height_count[h] += 1
         self.height_count = height_count
+        self.current = [0] * n
+        if invariants.ENABLED:
+            invariants.check_exact_heights(
+                g, s, t, height, height_count, self.current,
+                "PushRelabelState._global_relabel",
+            )
 
-    def _twin_topology(self) -> tuple[list[list[int]], list[int]]:
-        """Per-vertex twin-arc lists and arc tails, for the BFS.
+    def _twin_topology(self) -> list[list[int]]:
+        """Per-vertex twin-arc lists, for the BFS.
 
         ``twin_adj[v][i] == adj[v][i] ^ 1`` is the arc *into* ``v``
-        paired with ``v``'s ``i``-th out-arc, and ``tail[b]`` its other
-        end.  Built once per topology (arcs are only ever appended, so
-        the arc count tells when to rebuild).
+        paired with ``v``'s ``i``-th out-arc; its other end is
+        ``g.tails()[b]``.  Built once per topology (arcs are only ever
+        appended, so the arc count tells when to rebuild).
         """
-        head, adj = self.g.head, self.g.adj
-        if self._twin_arcs != len(head):
-            self._twin_adj = [[a ^ 1 for a in arcs] for arcs in adj]
-            self._tail = [head[a ^ 1] for a in range(len(head))]
-            self._twin_arcs = len(head)
-        return self._twin_adj, self._tail
+        g = self.g
+        if self._twin_arcs != len(g.head):
+            self._twin_adj = [[a ^ 1 for a in arcs] for arcs in g.adj]
+            self._twin_arcs = len(g.head)
+        return self._twin_adj
 
     # ------------------------------------------------------------------
     def result(self) -> MaxFlowResult:

@@ -245,3 +245,70 @@ class TestCarriedExcess:
         # only the solve's first probe recomputes (the anchor at the
         # closed-form tmin is infeasible here, so no reset follows it)
         assert len(calls) == schedule.stats.probes - 1
+
+
+class TestExactHeights:
+    """Armed, every list-engine global relabel is re-derived from two
+    full residual BFS passes and a separate histogram pass."""
+
+    @staticmethod
+    def relabeled_state():
+        from repro.core.network import RetrievalNetwork
+        from repro.maxflow import PushRelabelState
+
+        net = RetrievalNetwork(small_problem())
+        net.set_deadline_capacities(net.problem.theoretical_min_deadline())
+        state = PushRelabelState(net.graph, net.source, net.sink)
+        state.initialize()
+        state.run()
+        state._global_relabel()
+        return state
+
+    @staticmethod
+    def check(state):
+        invariants.check_exact_heights(
+            state.g, state.s, state.t, state.height, state.height_count,
+            state.current, "test",
+        )
+
+    def test_exact_state_passes(self):
+        self.check(self.relabeled_state())
+
+    def test_wrong_height_is_caught(self):
+        state = self.relabeled_state()
+        state.height[2] += 1  # the first bucket vertex
+        with pytest.raises(InvariantViolation, match="vertex 2 has height"):
+            self.check(state)
+
+    def test_stale_histogram_is_caught(self):
+        state = self.relabeled_state()
+        state.height_count[0] += 1
+        with pytest.raises(InvariantViolation, match="histogram"):
+            self.check(state)
+
+    def test_unreset_current_arc_is_caught(self):
+        state = self.relabeled_state()
+        state.current[2] = 1
+        with pytest.raises(InvariantViolation, match="current-arc"):
+            self.check(state)
+
+    @staticmethod
+    def broken_bfs_state():
+        """A state whose BFS topology lost the sink's twin arcs."""
+        from repro.core.network import RetrievalNetwork
+        from repro.maxflow import PushRelabelState
+
+        net = RetrievalNetwork(small_problem())
+        net.set_deadline_capacities(net.problem.theoretical_max_deadline())
+        state = PushRelabelState(net.graph, net.source, net.sink)
+        state._twin_topology()[net.sink].clear()
+        return state
+
+    def test_hook_catches_a_wrong_global_relabel(self, armed):
+        state = self.broken_bfs_state()
+        with pytest.raises(InvariantViolation, match="_global_relabel"):
+            state.initialize()
+
+    def test_disarmed_hook_does_no_work(self, monkeypatch):
+        monkeypatch.setattr(invariants, "ENABLED", False)
+        self.broken_bfs_state().initialize()  # wrong heights, no check
