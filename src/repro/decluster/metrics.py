@@ -3,13 +3,16 @@
 The standard figure of merit for a single-copy declustering is the
 *additive error*: over all wraparound range queries, the worst gap between
 the busiest disk's bucket count and the ideal ``ceil(r*c / N)``.  The
-threshold scheme selection (:mod:`repro.decluster.threshold`) minimizes
-this metric, and tests use it to confirm the periodic coefficients from
-[11] beat naive ones.
+§VI-A placement searches minimize it: :mod:`repro.decluster.periodic`
+picks the lattice first copy (shared by the threshold and dependent
+schemes) and :mod:`repro.decluster.orthogonal` the second copy's shift.
 
-Exact evaluation enumerates all ``N²(N+1)²/4``-ish wraparound queries; it
-is vectorized with circular 2-D window sums but still O(N⁴), so callers
-cap the grid size or sample.
+An ``n_rows × n_cols`` grid has ``n_rows * n_cols`` query shapes, each at
+``n_rows * n_cols`` wraparound positions: O(N⁴) windows for an ``N × N``
+grid.  :func:`additive_error` builds one per-disk prefix-sum tensor per
+allocation, after which each shape costs a single vectorized four-slice
+expression over every disk and position.  The searches still sample
+shapes above a size limit (:mod:`repro.decluster.periodic`).
 """
 
 from __future__ import annotations
@@ -44,40 +47,44 @@ def max_disk_load(alloc: Allocation, i: int, j: int, r: int, c: int) -> int:
     return int(load_of_query(alloc, i, j, r, c).max())
 
 
-def _window_maxload(alloc: Allocation, r: int, c: int) -> int:
-    """Max over all positions of the busiest-disk count for r×c windows.
+def _window_prefix_sums(alloc: Allocation) -> np.ndarray:
+    """Per-disk 2-D prefix sums of the grid tiled once for every shape.
 
-    Vectorized: build a per-disk indicator, take circular 2-D window sums
-    via cumulative sums on a tiled array, reduce with max.
+    The grid is wrapped by ``n_rows - 1`` rows and ``n_cols - 1`` columns,
+    so every wraparound window of every shape is a plain window of the
+    tile.  Entry ``[d, x, y]`` counts disk ``d``'s buckets in the tile's
+    first ``x`` rows and ``y`` columns.  Only disks that own a bucket get a
+    slice: an empty disk's windows are all zero and never the busiest.
+    Counts are int32 wherever that is exact (no entry exceeds the tile's
+    ``4 * n_rows * n_cols`` cells), which halves the tensor.
     """
-    N_r, N_c = alloc.n_rows, alloc.n_cols
     grid = alloc.grid
-    best = 0
-    for d in range(alloc.num_disks):
-        ind = (grid == d).astype(np.int64)
-        # tile so every wraparound window is a plain window of the tile
-        tiled = np.empty((N_r + r - 1, N_c + c - 1), dtype=np.int64)
-        tiled[:N_r, :N_c] = ind
-        if r > 1:
-            tiled[N_r:, :N_c] = ind[: r - 1, :]
-        if c > 1:
-            tiled[:N_r, N_c:] = ind[:, : c - 1]
-        if r > 1 and c > 1:
-            tiled[N_r:, N_c:] = ind[: r - 1, : c - 1]
-        # 2-D prefix sums -> window sums
-        ps = np.zeros((tiled.shape[0] + 1, tiled.shape[1] + 1), dtype=np.int64)
-        np.cumsum(tiled, axis=0, out=ps[1:, 1:])
-        np.cumsum(ps[1:, 1:], axis=1, out=ps[1:, 1:])
-        win = (
-            ps[r : r + N_r, c : c + N_c]
-            - ps[:N_r, c : c + N_c]
-            - ps[r : r + N_r, :N_c]
-            + ps[:N_r, :N_c]
-        )
-        m = int(win.max())
-        if m > best:
-            best = m
-    return best
+    n_r, n_c = grid.shape
+    dtype = np.int32 if 4 * n_r * n_c <= np.iinfo(np.int32).max else np.int64
+    disks = np.flatnonzero(np.bincount(grid.ravel()))
+    tiled = np.pad(grid, ((0, n_r - 1), (0, n_c - 1)), mode="wrap")
+    ps = np.zeros((len(disks), 2 * n_r, 2 * n_c), dtype=dtype)
+    np.cumsum(
+        tiled == disks[:, None, None], axis=1, dtype=dtype, out=ps[:, 1:, 1:]
+    )
+    np.cumsum(ps[:, 1:, 1:], axis=2, out=ps[:, 1:, 1:])
+    return ps
+
+
+def _window_maxload(ps: np.ndarray, r: int, c: int) -> int:
+    """Busiest-disk count over all positions of the r×c windows.
+
+    ``ps`` comes from :func:`_window_prefix_sums`; one four-slice
+    expression gives every disk's count at every window position.
+    """
+    n_r, n_c = ps.shape[1] // 2, ps.shape[2] // 2
+    win = (
+        ps[:, r : r + n_r, c : c + n_c]
+        - ps[:, :n_r, c : c + n_c]
+        - ps[:, r : r + n_r, :n_c]
+        + ps[:, :n_r, :n_c]
+    )
+    return int(win.max())
 
 
 def additive_error(
@@ -110,10 +117,11 @@ def additive_error(
             raise DeclusteringError("sampling additive_error requires rng")
         idx = rng.choice(len(shapes), size=min(sample, len(shapes)), replace=False)
         shapes = [shapes[k] for k in idx]
+    ps = _window_prefix_sums(alloc)
     worst = 0
     for r, c in shapes:
         ideal = -(-(r * c) // N)  # ceil
-        err = _window_maxload(alloc, r, c) - ideal
+        err = _window_maxload(ps, r, c) - ideal
         if err > worst:
             worst = err
     return worst

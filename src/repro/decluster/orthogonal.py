@@ -31,13 +31,10 @@ import numpy as np
 
 from repro.decluster.grid import Allocation
 from repro.decluster.metrics import additive_error
-from repro.decluster.periodic import best_periodic_coefficients
+from repro.decluster.periodic import _search_sample, best_periodic_coefficients
 from repro.errors import DeclusteringError
 
 __all__ = ["orthogonal_pair", "is_orthogonal_pair"]
-
-_EXACT_LIMIT = 13
-_SAMPLE_SHAPES = 60
 
 
 def is_orthogonal_pair(first: Allocation, second: Allocation) -> bool:
@@ -54,7 +51,7 @@ def is_orthogonal_pair(first: Allocation, second: Allocation) -> bool:
 @functools.lru_cache(maxsize=None)
 def _best_shift(N: int, a2: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
-    sample = None if N <= _EXACT_LIMIT else _SAMPLE_SHAPES
+    sample = _search_sample(N)
     i = np.arange(N).reshape(-1, 1)
     j = np.arange(N).reshape(1, -1)
     f = (i + a2 * j) % N

@@ -37,6 +37,12 @@ _EXACT_LIMIT = 13
 _SAMPLE_SHAPES = 60
 
 
+def _search_sample(N: int) -> int | None:
+    """The ``sample`` argument every placement search passes to
+    :func:`additive_error` for an ``N``-disk grid."""
+    return None if N <= _EXACT_LIMIT else _SAMPLE_SHAPES
+
+
 def valid_coefficients(N: int) -> list[int]:
     """All ``a`` with ``gcd(a, N) == 1`` and ``a != 0`` (mod N)."""
     if N < 1:
@@ -73,7 +79,7 @@ def best_periodic_coefficients(N: int, seed: int = 0) -> tuple[int, int]:
         return (0, 0)
     coeffs = valid_coefficients(N)
     rng = np.random.default_rng(seed)
-    sample = None if N <= _EXACT_LIMIT else _SAMPLE_SHAPES
+    sample = _search_sample(N)
     best_pair: tuple[int, int] | None = None
     best_err = None
     for a2 in coeffs:

@@ -62,9 +62,10 @@ class PushRelabelState:
         ``0`` disables the heuristic.  ``None`` (default) disables it when
         heights already start exact and picks ``max(n, 16)`` otherwise:
         on the shallow 4-layer retrieval networks, exact initialization
-        plus the gap heuristic leaves mid-run global relabeling strictly
-        counterproductive — re-scanning every current-arc pointer costs
-        8-18x in measured solve time (see
+        plus the gap heuristic leaves mid-run global relabeling nothing
+        to win — intervals 16 and 64 measured 0.99x and 0.97x the solve
+        time of interval 0 on the N=16 ablation batch (EXPERIMENTS.md,
+        "Mid-run global relabels";
         ``benchmarks/bench_ablation_conservation.py``).
     gap_heuristic:
         Enable the gap heuristic.
@@ -311,6 +312,9 @@ class PushRelabelState:
                         excess[v] = ev
                         current[v] = 0
                         self._global_relabel()
+                        # the relabel installs fresh lists
+                        height, current = self.height, self.current
+                        height_count = self.height_count
                         relabels_since_gr = 0
                         # heights changed globally: requeue v and restart
                         if ev > 0 and not in_queue[v]:

@@ -65,7 +65,10 @@ class _InFlight:
     """One admitted, not-yet-completed query."""
 
     query_id: int
+    #: the full, undegraded problem; re-plans degrade it by the failed
+    #: set current at re-plan time
     problem: RetrievalProblem
+    #: the admitted (degraded) problem's replicas: its cache key
     signature: Signature
     arrival_ms: float
     #: bucket index → disk id (rewritten by re-planning)
@@ -279,7 +282,7 @@ class OnlineScheduler(SchedulerService):
             self._next_query_id += 1
             flight = _InFlight(
                 query_id=query_id,
-                problem=problem,
+                problem=base,
                 signature=problem.replicas,
                 arrival_ms=now,
                 assignment=dict(schedule.assignment),

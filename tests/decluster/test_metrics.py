@@ -76,3 +76,65 @@ class TestAdditiveError:
         exact = additive_error(a)
         sampled = additive_error(a, sample=10, rng=np.random.default_rng(0))
         assert sampled <= exact
+
+
+def _bruteforce_errors(a: Allocation) -> dict[tuple[int, int], int]:
+    """Per-shape additive error by enumerating every window position."""
+    errors = {}
+    for r in range(1, a.n_rows + 1):
+        for c in range(1, a.n_cols + 1):
+            ideal = -(-(r * c) // a.num_disks)
+            errors[r, c] = max(
+                max_disk_load(a, i, j, r, c)
+                for i in range(a.n_rows)
+                for j in range(a.n_cols)
+            ) - ideal
+    return errors
+
+
+def _random_grids():
+    """``(id, allocation)`` pairs: square, non-square, one disk, one cell,
+    more disks than cells, and disks that own no bucket."""
+    rng = np.random.default_rng(17)
+    cases = [
+        ("one-disk-1x1", Allocation([[0]], 1)),
+        ("one-disk-3x5", Allocation(np.zeros((3, 5), dtype=int), 1)),
+        ("one-row", Allocation([[0, 1, 2, 0, 1, 1]], 3)),
+        ("one-col", Allocation([[0], [1], [1], [2]], 3)),
+        ("more-disks-than-cells", Allocation([[3, 9], [0, 3]], 12)),
+        ("lattice-7", periodic_allocation(7, 1, 3)),
+    ]
+    for k in range(18):
+        n_r, n_c = (int(x) for x in rng.integers(1, 8, size=2))
+        disks = int(rng.integers(1, n_r * n_c + 4))
+        grid = rng.integers(0, disks, size=(n_r, n_c))
+        cases.append((f"random-{k}-{n_r}x{n_c}-d{disks}", Allocation(grid, disks)))
+    return cases
+
+
+GRIDS = _random_grids()
+
+
+class TestAdditiveErrorDifferential:
+    """``additive_error`` against brute-force ``max_disk_load`` enumeration."""
+
+    @pytest.mark.parametrize("a", [g for _, g in GRIDS], ids=[k for k, _ in GRIDS])
+    def test_exact(self, a):
+        assert additive_error(a) == max(_bruteforce_errors(a).values())
+
+    @pytest.mark.parametrize("a", [g for _, g in GRIDS], ids=[k for k, _ in GRIDS])
+    @pytest.mark.parametrize("sample", [1, 5, 60])
+    def test_sampled_same_seed(self, a, sample):
+        """The sampled error is the worst brute-force error over exactly the
+        shapes a same-seeded ``rng.choice`` draws from the row-major shape
+        list, and the generator is left in the same state."""
+        errors = _bruteforce_errors(a)
+        shapes = list(errors)  # row-major (r, c) order
+        ref_rng = np.random.default_rng(sample)
+        idx = ref_rng.choice(
+            len(shapes), size=min(sample, len(shapes)), replace=False
+        )
+        rng = np.random.default_rng(sample)
+        got = additive_error(a, sample=sample, rng=rng)
+        assert got == max(0, *(errors[shapes[k]] for k in idx))
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import invariants
+from repro.core import solve
 from repro.core.problem import RetrievalProblem
 from repro.decluster import make_placement
 from repro.errors import (
@@ -260,6 +261,54 @@ class TestRepairEdgeCases:
             # the doomed flight is dropped, the clock cannot wedge
             assert svc.inflight == 0
             svc.drain()
+        finally:
+            svc.close()
+
+
+class TestReplanReplicaSet:
+    """Re-plans start from the query's full replica set and degrade it by
+    the failures current at re-plan time, not those at admission."""
+
+    GRID = [(i, j) for i in range(N) for j in range(N)]
+
+    def test_failure_after_repair_uses_repaired_disk(self, backend):
+        """Admitted while disk 0 was down, the query may lean on disk 5
+        (bucket (0, 0) has replicas {0, 5}).  Once 0 is repaired, losing
+        5 must re-plan onto 0 instead of declaring the bucket lost."""
+        svc = make_online()
+        try:
+            svc.mark_failed([0])
+            rec = svc.submit(self.GRID, arrival_ms=0.0)
+            assert rec.degraded and rec.counts_per_disk[0] == 0
+            svc.mark_repaired([0])
+            svc.mark_failed([5])
+            assert svc.inflight == 1
+            svc.drain()
+            assert svc.online_stats().completed == 1
+        finally:
+            svc.close()
+
+    def test_improvement_replan_moves_work_to_repaired_disk(self, backend):
+        """Repairing disk 0 before any transfer drains: the full-set
+        optimum is strictly better than the degraded plan, so the
+        improvement re-plan adopts it and schedules work on disk 0."""
+        svc = make_online()
+        try:
+            svc.mark_failed([0])
+            rec = svc.submit(self.GRID, arrival_ms=0.0)
+            full = RetrievalProblem.from_query(
+                svc.system, svc.placement, self.GRID
+            )
+            svc.system.set_loads(rec.loads_before)
+            best = solve(full, solver="pr-binary").response_time_ms
+            assert best < rec.response_time_ms  # strictly better exists
+            svc.mark_repaired([0])
+            assert svc.online_stats().replans == 1
+            flight = svc._inflight[rec.query_id]
+            assert 0 in flight.pending
+            assert 0 in flight.assignment.values()
+            svc.drain()
+            assert svc.online_stats().completed == 1
         finally:
             svc.close()
 
