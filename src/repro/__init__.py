@@ -27,34 +27,6 @@ from repro._version import __version__
 
 __all__ = ["__version__"]
 
-#: warn-once latch for the legacy top-level service aliases
-_legacy_surface_warned = False
-
-#: pre-facade entry points, kept importable from the top level as a
-#: deprecation shim — ``repro.api.Scheduler`` is the one front door now
-_LEGACY_SERVICE = {
-    "SchedulerService": "repro.service",
-    "ShardedSchedulerService": "repro.service",
-    "ServiceConfig": "repro.service",
-    "SchedulerClient": "repro.net",
-}
-
-
-def _warn_legacy_surface(name: str) -> None:
-    global _legacy_surface_warned
-    if not _legacy_surface_warned:
-        _legacy_surface_warned = True
-        import warnings
-
-        warnings.warn(
-            f"importing {name} from the top-level 'repro' package is "
-            "deprecated; use the repro.api facade "
-            "(api.Scheduler(config).local()/.sharded()/.serve()/"
-            ".connect()) or import from its implementation layer",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
 
 def __getattr__(name):  # lazy re-exports keep import light for CLI startup
     _CORE = {
@@ -76,10 +48,4 @@ def __getattr__(name):  # lazy re-exports keep import light for CLI startup
         import repro.api as api
 
         return api
-    if name in _LEGACY_SERVICE:
-        _warn_legacy_surface(name)
-        import importlib
-
-        module = importlib.import_module(_LEGACY_SERVICE[name])
-        return getattr(module, name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

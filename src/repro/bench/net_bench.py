@@ -41,11 +41,7 @@ from repro.bench.service_bench import (
 )
 from repro.core.api import solve
 from repro.core.problem import RetrievalProblem
-from repro.fleet.codec import (
-    SUPPORTED_PAYLOAD_VERSIONS,
-    encode_problem,
-    encode_schedule,
-)
+from repro.fleet.codec import encode_problem, encode_schedule
 from repro.net.client import SchedulerClient
 from repro.net.run import BackgroundServer
 from repro.net.server import ServerConfig
@@ -93,11 +89,9 @@ class NetBenchResult:
     #: process-shipping overhead, not scaling)
     cpu_count: int = 0
     modes: dict = field(default_factory=dict)
-    #: pickled fleet-payload sizes per codec version for one sample
-    #: query of this workload: ``{"v1": {"problem": .., "schedule": ..}}``.
-    #: Documents what the process fleet actually ships — v2 trades
-    #: larger pickles (8-byte ``array('q')`` ints vs pickle's ~2-byte
-    #: small ints) for ~2x faster decode.
+    #: pickled fleet-payload sizes for one sample query of this
+    #: workload: ``{"problem": .., "schedule": ..}`` — what the process
+    #: fleet actually ships per solve.
     codec_bytes: dict = field(default_factory=dict)
 
     @property
@@ -135,34 +129,21 @@ class NetBenchResult:
         return out
 
 
-def _codec_footprint(
-    system, placement, coords, solver: str
-) -> dict[str, dict[str, int]]:
-    """Bytes-on-wire per codec version for one sample query.
+def _codec_footprint(system, placement, coords, solver: str) -> dict[str, int]:
+    """Bytes on the wire for one sample query.
 
     Measures what :class:`~repro.fleet.SolveFleet` actually submits to a
     worker: the pickled problem payload (request) and the pickled
-    schedule payload (reply), per supported payload version.
+    schedule payload (reply).
     """
     import pickle
 
     problem = RetrievalProblem.from_query(system, placement, coords)
     schedule = solve(problem, solver=solver)
-    out: dict[str, dict[str, int]] = {}
-    for version in SUPPORTED_PAYLOAD_VERSIONS:
-        out[f"v{version}"] = {
-            "problem": len(
-                pickle.dumps(
-                    encode_problem(problem, version=version), protocol=5
-                )
-            ),
-            "schedule": len(
-                pickle.dumps(
-                    encode_schedule(schedule, version=version), protocol=5
-                )
-            ),
-        }
-    return out
+    return {
+        "problem": len(pickle.dumps(encode_problem(problem), protocol=5)),
+        "schedule": len(pickle.dumps(encode_schedule(schedule), protocol=5)),
+    }
 
 
 def _check_wire_transparency(
@@ -419,9 +400,9 @@ def format_net_bench(result: NetBenchResult) -> str:
             f"(needs {result.workers} free cores for linear scaling)"
         )
     if result.codec_bytes:
-        parts = [
-            f"{v} problem={sizes['problem']}B schedule={sizes['schedule']}B"
-            for v, sizes in sorted(result.codec_bytes.items())
-        ]
-        lines.append("fleet codec bytes on wire: " + ", ".join(parts))
+        sizes = result.codec_bytes
+        lines.append(
+            f"fleet codec bytes on wire: problem={sizes['problem']}B "
+            f"schedule={sizes['schedule']}B"
+        )
     return "\n".join(lines)

@@ -5,60 +5,35 @@ actually run concurrently; CPython's are serialized by the GIL.  This
 package is the reproduction's escape hatch, with three layers:
 
 * :mod:`repro.fleet.codec` — problems and schedules as exact payloads
-  that cross process boundaries without drift: JSON-safe dicts (v1)
-  or flat ``array('q')``-bytes columns (v2), negotiated per worker;
+  that cross process boundaries without drift: flat
+  ``array('q')``/``array('d')``-bytes columns plus shape headers;
 * :mod:`repro.fleet.pool` — :class:`SolveFleet`, signature-affine lanes
-  of worker processes with warm per-worker caches and crash recovery;
-* :mod:`repro.fleet.backends` — the ``thread``/``process`` backend
-  registry the service layer and CI matrix select from;
+  of worker processes with warm per-worker caches and crash recovery
+  (what ``ServiceConfig(solve_backend="process")`` routes solves to);
 * :mod:`repro.fleet.parallel` — a true multi-process
   ``parallel_push_relabel`` variant: partition by bucket vertex range,
   solve slices in workers, merge arc-wise, finish warm.
 """
 
-from repro.fleet.backends import (
-    BACKENDS,
-    SOLVE_BACKEND_ENV,
-    ProcessSolveBackend,
-    SolveBackend,
-    ThreadSolveBackend,
-    make_backend,
-    resolve_backend_name,
-)
 from repro.fleet.codec import (
     FLAT_PAYLOAD_VERSION,
-    PAYLOAD_VERSION,
-    SUPPORTED_PAYLOAD_VERSIONS,
     CodecError,
     decode_problem,
     decode_schedule,
     encode_problem,
     encode_schedule,
-    problem_from_json,
-    problem_to_json,
 )
 from repro.fleet.parallel import partitioned_push_relabel
 from repro.fleet.pool import SolveFleet, WorkerCrashedError
 
 __all__ = [
-    "BACKENDS",
-    "SOLVE_BACKEND_ENV",
     "CodecError",
     "FLAT_PAYLOAD_VERSION",
-    "PAYLOAD_VERSION",
-    "SUPPORTED_PAYLOAD_VERSIONS",
-    "ProcessSolveBackend",
-    "SolveBackend",
     "SolveFleet",
-    "ThreadSolveBackend",
     "WorkerCrashedError",
     "decode_problem",
     "decode_schedule",
     "encode_problem",
     "encode_schedule",
-    "make_backend",
     "partitioned_push_relabel",
-    "problem_from_json",
-    "problem_to_json",
-    "resolve_backend_name",
 ]

@@ -36,42 +36,13 @@ import multiprocessing
 
 from repro.core.problem import RetrievalProblem
 from repro.core.schedule import RetrievalSchedule
-from repro.fleet.codec import (
-    FLAT_PAYLOAD_VERSION,
-    PAYLOAD_VERSION,
-    SUPPORTED_PAYLOAD_VERSIONS,
-    decode_schedule,
-    encode_problem,
-)
-from repro.fleet.worker import worker_codec_version, worker_pid, worker_solve
+from repro.fleet.codec import decode_schedule, encode_problem
+from repro.fleet.worker import worker_pid, worker_solve
 
 __all__ = ["WorkerCrashedError", "SolveFleet", "default_mp_context"]
 
 #: environment override for the multiprocessing start method
 MP_CONTEXT_ENV = "REPRO_FLEET_MP_CONTEXT"
-
-#: environment override pinning the fleet codec version (e.g. ``1`` to
-#: force the legacy JSON-dict payloads fleet-wide, skipping negotiation)
-CODEC_ENV = "REPRO_FLEET_CODEC"
-
-
-def _forced_codec_version() -> int | None:
-    """The :data:`CODEC_ENV` override, validated, or ``None``."""
-    raw = os.environ.get(CODEC_ENV)
-    if not raw:
-        return None
-    try:
-        version = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CODEC_ENV} must be an integer payload version, got {raw!r}"
-        ) from None
-    if version not in SUPPORTED_PAYLOAD_VERSIONS:
-        raise ValueError(
-            f"{CODEC_ENV}={version} unsupported "
-            f"(supported: {SUPPORTED_PAYLOAD_VERSIONS})"
-        )
-    return version
 
 
 class WorkerCrashedError(RuntimeError):
@@ -151,10 +122,6 @@ class SolveFleet:
         #: fleets sharing a worker process (possible under "fork" only
         #: via inheritance, but cheap to guard) must not mix entries
         self._ns = f"fleet-{id(self):x}"
-        self._forced_codec = _forced_codec_version()
-        #: per-lane negotiated payload version; ``None`` = not yet asked
-        #: (resolved lazily at first use, re-asked after a lane rebuild)
-        self._lane_codec: list[int | None] = [None] * num_workers
         self._lanes: list[ProcessPoolExecutor] = [
             self._new_lane() for _ in range(num_workers)
         ]
@@ -205,35 +172,7 @@ class SolveFleet:
             if self._closed or self._lanes[lane] is not broken:
                 return  # another thread already swapped it
             self._lanes[lane] = self._new_lane()
-            # fresh process: its codec version must be re-negotiated
-            self._lane_codec[lane] = None
         broken.shutdown(wait=False)
-
-    def lane_codec_version(self, lane: int) -> int:
-        """The payload version lane ``lane`` speaks (negotiated, cached).
-
-        ``min(ours, theirs)`` so either side being older degrades the
-        pair to the common version; the :data:`CODEC_ENV` override pins
-        it without a round-trip.  Falls back to v1 — always decodable —
-        if the worker predates :func:`worker_codec_version`.
-        """
-        if self._forced_codec is not None:
-            return self._forced_codec
-        cached = self._lane_codec[lane]
-        if cached is not None:
-            return cached
-        try:
-            theirs = int(self.submit_fn(lane, worker_codec_version).result())
-        except WorkerCrashedError:
-            raise
-        except Exception:  # pragma: no cover - legacy worker images only
-            theirs = PAYLOAD_VERSION
-        version = min(FLAT_PAYLOAD_VERSION, theirs)
-        if version not in SUPPORTED_PAYLOAD_VERSIONS:
-            version = PAYLOAD_VERSION
-        with self._lock:
-            self._lane_codec[lane] = version
-        return version
 
     # ------------------------------------------------------------------
     def solve(
@@ -248,9 +187,7 @@ class SolveFleet:
         if lane is None:
             lane = self.lane_of(problem.replicas)
         payload = {
-            "problem": encode_problem(
-                problem, version=self.lane_codec_version(lane)
-            ),
+            "problem": encode_problem(problem),
             "solver": self.solver,
             "solver_kwargs": self.solver_kwargs,
             "cache_ns": self._ns,

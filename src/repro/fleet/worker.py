@@ -28,19 +28,13 @@ from typing import Any
 
 from repro.core.api import SOLVERS, solve
 from repro.core.network import RetrievalNetwork
-from repro.fleet.codec import (
-    FLAT_PAYLOAD_VERSION,
-    PAYLOAD_VERSION,
-    decode_problem,
-    encode_schedule,
-)
+from repro.fleet.codec import decode_problem, encode_schedule
 from repro.graph.io import from_json, to_json
 from repro.maxflow.push_relabel import push_relabel
 from repro.obs.registry import MetricsRegistry
 from repro.service.cache import NetworkCache
 
 __all__ = [
-    "worker_codec_version",
     "worker_solve",
     "worker_maxflow",
     "worker_pid",
@@ -61,33 +55,16 @@ def _cache_for(namespace: str, size: int) -> NetworkCache | None:
     return cache
 
 
-def worker_codec_version() -> int:
-    """The newest fleet payload version this worker can decode.
-
-    Coordinators call this once per lane (at warmup and after a lane
-    rebuild) and encode with ``min(coordinator, worker)`` — the
-    negotiation that lets a new coordinator drive an old worker (and
-    vice versa) at v1 instead of failing.
-    """
-    return FLAT_PAYLOAD_VERSION
-
-
 def worker_solve(payload: dict[str, Any]) -> dict[str, Any]:
     """One scheduling solve in this worker process.
 
     Payload keys: ``problem`` (codec payload), ``solver``,
     ``solver_kwargs``, ``cache_ns``, ``cache_size``.  Returns
-    ``{"schedule": ..., "cache_hit": ..., "pid": ...}`` with the
-    schedule encoded in the *same* codec version the problem arrived
-    in, so a v1 coordinator never sees a v2 reply.
+    ``{"schedule": ..., "cache_hit": ..., "pid": ...}``; a problem
+    payload in any other codec version raises
+    :class:`~repro.fleet.CodecError`.
     """
-    problem_payload = payload["problem"]
-    reply_version = PAYLOAD_VERSION
-    if isinstance(problem_payload, dict):
-        v = problem_payload.get("version", PAYLOAD_VERSION)
-        if isinstance(v, int) and not isinstance(v, bool):
-            reply_version = v
-    problem = decode_problem(problem_payload)
+    problem = decode_problem(payload["problem"])
     solver = str(payload.get("solver", "pr-binary"))
     solver_kwargs = dict(payload.get("solver_kwargs") or {})
     solver_cls = SOLVERS.get(solver)
@@ -119,7 +96,7 @@ def worker_solve(payload: dict[str, Any]) -> dict[str, Any]:
         )
         cache.put(signature, network, network.graph.save_flow())
     return {
-        "schedule": encode_schedule(schedule, version=reply_version),
+        "schedule": encode_schedule(schedule),
         "cache_hit": cache_hit,
         "pid": os.getpid(),
     }

@@ -12,9 +12,6 @@ This project-level rule enforces:
 * every ``*Engine`` class under ``maxflow/`` (except the abstract
   ``MaxFlowEngine`` base) appears as a value in ``ENGINES`` of
   ``maxflow/__init__.py``;
-* every ``*Backend`` class under ``fleet/`` (except the abstract
-  ``SolveBackend`` base) appears as a value in ``BACKENDS`` of
-  ``fleet/backends.py``;
 * every registry *name* appears somewhere in the test suite (as a
   string literal in a file under ``tests/``);
 * every optimal solver name appears in the differential suite
@@ -122,15 +119,6 @@ class RegistryCompletenessRule(ProjectRule):
             package_dir="maxflow/",
             all_tests=all_tests,
             differential=None,  # engines are unit-tested, not differential
-        )
-        yield from self._check_registry(
-            project,
-            registry_module="fleet/backends.py",
-            dict_name="BACKENDS",
-            class_suffix="Backend",
-            package_dir="fleet/",
-            all_tests=all_tests,
-            differential=None,  # backends are covered by tests/fleet/
         )
 
     # ------------------------------------------------------------------

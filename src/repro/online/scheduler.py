@@ -95,16 +95,15 @@ class OnlineScheduler(SchedulerService):
         system: StorageSystem,
         placement: MultiSitePlacement,
         config: ServiceConfig | None = None,
-        **legacy: Any,
     ) -> None:
-        if config is None and not legacy:
+        if config is None:
             config = ServiceConfig(mode="online")
-        if config is not None and config.mode != "online":
+        if config.mode != "online":
             raise ValueError(
                 "OnlineScheduler requires config.mode == 'online' "
                 f"(got {config.mode!r})"
             )
-        super().__init__(system, placement, config, **legacy)
+        super().__init__(system, placement, config)
         cfg = self.config.resolved_online()
         self._online_cfg = cfg
         self._wall = cfg.clock == "wall"

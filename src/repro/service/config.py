@@ -9,6 +9,7 @@ passed around as a value.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -23,6 +24,9 @@ __all__ = ["ServiceConfig", "perf_ms"]
 
 #: admissible scheduling modes
 _MODES = ("offline", "online")
+
+#: admissible solve backends
+_SOLVE_BACKENDS = ("thread", "process")
 
 
 def perf_ms() -> float:
@@ -137,9 +141,16 @@ class ServiceConfig:
 
     def resolved_solve_backend(self) -> str:
         """The effective backend name (explicit > env > ``thread``)."""
-        from repro.fleet.backends import resolve_backend_name
-
-        return resolve_backend_name(self.solve_backend)
+        name = (
+            self.solve_backend
+            or os.environ.get("REPRO_SOLVE_BACKEND")
+            or "thread"
+        )
+        if name not in _SOLVE_BACKENDS:
+            raise ValueError(
+                f"unknown solve backend {name!r}; choose from {_SOLVE_BACKENDS}"
+            )
+        return name
 
     def with_changes(self, **changes: object) -> "ServiceConfig":
         """A copy with the given fields replaced (frozen-friendly)."""

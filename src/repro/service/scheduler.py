@@ -31,8 +31,7 @@ The hot path is a pipeline, not a critical section:
 from __future__ import annotations
 
 import threading
-import warnings
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.api import SOLVERS, solve
 from repro.core.batch import BatchSchedule, merge_problems
@@ -49,30 +48,16 @@ from repro.service.stats import ServiceRecord, ServiceStats
 from repro.storage.system import StorageSystem
 from repro.workloads.queries import ArbitraryQuery, RangeQuery
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fleet.pool import SolveFleet
+
 #: anything submit() accepts: a bucket-coordinate sequence or a query object
 QueryLike = Sequence[tuple[int, int]] | RangeQuery | ArbitraryQuery
 
 __all__ = ["SchedulerService"]
 
-_UNSET = object()
-
 #: batch-size histogram edges (queries per admitted batch)
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
-
-#: module-level "warn once" latch for the legacy-kwarg shim
-_legacy_kwargs_warned = False
-
-
-def _warn_legacy_kwargs() -> None:
-    global _legacy_kwargs_warned
-    if not _legacy_kwargs_warned:
-        _legacy_kwargs_warned = True
-        warnings.warn(
-            "SchedulerService(..., solver=/time_fn=/registry=/**solver_kwargs)"
-            " is deprecated; pass config=ServiceConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 class SchedulerService:
@@ -85,13 +70,7 @@ class SchedulerService:
     config:
         A :class:`~repro.service.ServiceConfig` value holding the
         scheduling policy (solver, clock, metrics sink, batching window,
-        cache size).  Omitted → defaults.
-
-    The pre-config keyword arguments (``solver=``, ``time_fn=``,
-    ``registry=``, plus ``**solver_kwargs``) still work as a deprecation
-    shim — they are folded into a config and a ``DeprecationWarning`` is
-    issued once per process.  Passing both ``config`` and a legacy
-    keyword is an error.
+        cache size, solve backend).  Omitted → defaults.
 
     With ``config.mode == "online"`` construction dispatches to the
     continuous-time :class:`~repro.online.OnlineScheduler` subclass, so
@@ -117,32 +96,8 @@ class SchedulerService:
         system: StorageSystem,
         placement: MultiSitePlacement,
         config: ServiceConfig | None = None,
-        *,
-        solver: Any = _UNSET,
-        time_fn: Any = _UNSET,
-        registry: Any = _UNSET,
-        **solver_kwargs: Any,
     ) -> None:
-        legacy = (
-            solver is not _UNSET
-            or time_fn is not _UNSET
-            or registry is not _UNSET
-            or bool(solver_kwargs)
-        )
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=ServiceConfig(...) or the legacy "
-                    "solver/time_fn/registry keywords, not both"
-                )
-            _warn_legacy_kwargs()
-            config = ServiceConfig(
-                solver="pr-binary" if solver is _UNSET else solver,
-                solver_kwargs=dict(solver_kwargs),
-                time_fn=None if time_fn is _UNSET else time_fn,
-                registry=None if registry is _UNSET else registry,
-            )
-        elif config is None:
+        if config is None:
             config = ServiceConfig()
 
         if placement.total_disks != system.num_disks:
@@ -168,25 +123,26 @@ class SchedulerService:
             getattr(solver_cls, "supports_warm_start", False)
         )
 
-        # solve backend: "thread" keeps the historical in-process path;
+        # solve backend: "thread" solves in the calling thread;
         # "process" routes every solve into a SolveFleet worker (the GIL
-        # escape).  Imported lazily so the service layer has no hard
-        # dependency on the fleet machinery for thread-backed configs.
-        backend_name = config.resolved_solve_backend()
-        if backend_name == "process":
-            from repro.fleet.backends import make_backend
+        # escape).  A fleet handed in through the config is shared and
+        # stays open on close(); one built here is owned and closed.
+        # Imported lazily so thread-backed services never load the fleet.
+        self.solve_backend = config.resolved_solve_backend()
+        self._fleet: SolveFleet | None = None
+        self._owns_fleet = False
+        if self.solve_backend == "process":
+            from repro.fleet.pool import SolveFleet
 
-            self._backend = make_backend(
-                "process",
-                solver=config.solver,
-                solver_kwargs=dict(config.solver_kwargs),
-                fleet=config.fleet,
-                fleet_workers=config.fleet_workers,
-                cache_size=config.cache_size,
-            )
-        else:
-            self._backend = None
-        self.solve_backend = backend_name
+            self._fleet = config.fleet
+            if self._fleet is None:
+                self._owns_fleet = True
+                self._fleet = SolveFleet(
+                    config.fleet_workers,
+                    solver=config.solver,
+                    solver_kwargs=dict(config.solver_kwargs),
+                    cache_size=config.cache_size,
+                )
 
         self.registry = (
             config.registry if config.registry is not None else MetricsRegistry()
@@ -228,7 +184,7 @@ class SchedulerService:
         # go stale, so it is disabled
         self._cache = (
             NetworkCache(config.cache_size, self.registry)
-            if config.cache_size > 0 and self._warmable and self._backend is None
+            if config.cache_size > 0 and self._warmable and self._fleet is None
             else None
         )
         self._batcher = (
@@ -353,8 +309,8 @@ class SchedulerService:
         self, problem: RetrievalProblem
     ) -> "tuple[Any, bool]":
         """Solve one problem under the lock, via the warm-start cache."""
-        if self._backend is not None:
-            return self._backend.solve(problem)
+        if self._fleet is not None:
+            return self._fleet.solve(problem)
         if self._cache is None:
             return solve(problem, solver=self.solver, **self.solver_kwargs), False
         signature = problem.replicas
@@ -543,14 +499,15 @@ class SchedulerService:
         return self._cache
 
     def close(self) -> None:
-        """Release the solve backend (worker processes); idempotent.
+        """Shut down an owned solve fleet (worker processes); idempotent.
 
         Thread-backed services hold nothing worth releasing, so calling
         this is only *required* for ``solve_backend="process"`` — but it
-        is always safe.  Taking the service lock serialises close()
-        against any in-flight ``_solve_locked`` backend call, so the
-        backend can never be torn down mid-solve.
+        is always safe.  A fleet shared through ``config.fleet`` stays
+        open: whoever built it closes it.  Taking the service lock
+        serialises close() against any in-flight ``_solve_locked`` fleet
+        call, so the fleet can never be torn down mid-solve.
         """
         with self._lock:
-            if self._backend is not None:
-                self._backend.close()
+            if self._owns_fleet and self._fleet is not None:
+                self._fleet.close()

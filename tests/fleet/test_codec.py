@@ -1,9 +1,10 @@
 """Cross-process codec: exact round-trips and adversarial payloads.
 
-The fleet ships problems and schedules as JSON-safe dicts; these tests
-pin the exactness contract — floats round-trip bit-for-bit, ints are
-validated (fractional values raise :class:`~repro.fleet.CodecError`, a
-:class:`~repro.errors.GraphError`, never silently truncate), and a
+The fleet ships problems and schedules as flat-array payloads; these
+tests pin the exactness contract — floats round-trip bit-for-bit, ints
+are validated (fractional values raise :class:`~repro.fleet.CodecError`,
+a :class:`~repro.errors.GraphError`, never silently truncate), any
+version but :data:`~repro.fleet.FLAT_PAYLOAD_VERSION` is refused, and a
 corrupted assignment is rejected by schedule validation rather than
 accepted.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -24,10 +26,8 @@ from repro.fleet import (
     decode_schedule,
     encode_problem,
     encode_schedule,
-    problem_from_json,
-    problem_to_json,
 )
-from repro.fleet.codec import FLAT_PAYLOAD_VERSION, PAYLOAD_VERSION
+from repro.fleet.codec import FLAT_PAYLOAD_VERSION
 from repro.storage import StorageSystem
 
 from tests.property.test_differential_fuzz import random_generalized
@@ -60,14 +60,6 @@ class TestProblemRoundTrip:
             assert b.disk(j).initial_load_ms == a.disk(j).initial_load_ms
             assert b.disk(j).spec == a.disk(j).spec
 
-    def test_json_text_roundtrip(self):
-        problem = small_problem()
-        text = problem_to_json(problem)
-        json.loads(text)  # valid JSON by construction
-        back = problem_from_json(text)
-        assert back.replicas == problem.replicas
-        assert problem_to_json(back) == text  # fixed point
-
     def test_label_tuples_survive(self):
         problem = small_problem()
         labeled = RetrievalProblem(
@@ -84,9 +76,9 @@ class TestProblemRoundTrip:
         problem = small_problem()
         payload = encode_problem(problem)
         big = float(2**60)
-        for site in payload["sites"]:
-            for d in site["disks"]:
-                d["initial_load_ms"] = big
+        payload["disk_initial_load_ms"] = array(
+            "d", [big] * problem.system.num_disks
+        ).tobytes()
         back = decode_problem(payload)
         assert back.system.disk(0).initial_load_ms == big
 
@@ -94,53 +86,67 @@ class TestProblemRoundTrip:
         """Float fields accept fractions — only int fields are strict."""
         problem = small_problem()
         payload = encode_problem(problem)
-        payload["sites"][0]["disks"][0]["initial_load_ms"] = 0.1
+        loads = array("d")
+        loads.frombytes(payload["disk_initial_load_ms"])
+        loads[0] = 0.1
+        payload["disk_initial_load_ms"] = loads.tobytes()
         back = decode_problem(payload)
         assert back.system.disk(0).initial_load_ms == 0.1
 
 
 class TestProblemAdversarial:
-    def test_fractional_disk_id_rejected_not_truncated(self):
+    # ints that travel as array('q') columns cannot be fractional; the
+    # spec table's rpm is the one int field still carried as a scalar
+    def test_fractional_rpm_rejected_not_truncated(self):
         payload = encode_problem(small_problem())
-        payload["sites"][0]["disks"][0]["disk_id"] = 0.5
+        payload["disk_specs"][0][4] = 7200.5
         with pytest.raises(GraphError, match="integral"):
-            decode_problem(payload)
-
-    def test_fractional_replica_id_rejected(self):
-        payload = encode_problem(small_problem())
-        payload["replicas"][0][0] = 1.5
-        with pytest.raises(CodecError, match="integral"):
             decode_problem(payload)
 
     def test_bool_is_not_an_int(self):
         payload = encode_problem(small_problem())
-        payload["replicas"][0][0] = True
+        payload["disk_specs"][0][4] = True
         with pytest.raises(CodecError, match="number"):
             decode_problem(payload)
 
     def test_empty_sites_rejected(self):
-        with pytest.raises(CodecError, match="sites"):
-            decode_problem({"version": PAYLOAD_VERSION, "sites": []})
+        payload = encode_problem(small_problem())
+        payload["site_ids"] = b""
+        with pytest.raises(CodecError, match="site_ids"):
+            decode_problem(payload)
 
     def test_empty_replicas_rejected(self):
         payload = encode_problem(small_problem())
-        payload["replicas"] = []
-        with pytest.raises(CodecError, match="replicas"):
+        payload["replica_flat"] = b""
+        payload["replica_offsets"] = array("q", [0]).tobytes()
+        with pytest.raises(CodecError, match="replica_offsets"):
+            decode_problem(payload)
+
+    def test_bucket_with_empty_replica_list_rejected(self):
+        problem = small_problem()
+        payload = encode_problem(problem)
+        n = problem.num_buckets
+        payload["replica_flat"] = b""
+        payload["replica_offsets"] = array("q", [0] * (n + 1)).tobytes()
+        with pytest.raises(InfeasibleScheduleError, match="no replicas"):
             decode_problem(payload)
 
     def test_wrong_version_rejected(self):
         payload = encode_problem(small_problem())
-        payload["version"] = 99
-        with pytest.raises(CodecError, match="version"):
+        for version in (1, 3, 99, "2", 2.0, True, None):
+            payload["version"] = version
+            with pytest.raises(CodecError, match="version"):
+                decode_problem(payload)
+
+    def test_missing_version_rejected(self):
+        payload = encode_problem(small_problem())
+        del payload["version"]
+        with pytest.raises(CodecError, match="version None"):
             decode_problem(payload)
 
     def test_non_dict_rejected(self):
         with pytest.raises(CodecError, match="dict"):
             decode_problem([1, 2, 3])
-
-    def test_invalid_json_text_rejected(self):
-        with pytest.raises(CodecError, match="JSON"):
-            problem_from_json("{truncated")
 
     def test_codec_error_is_a_graph_error(self):
         # callers that already catch GraphError see codec failures too
@@ -175,7 +181,7 @@ class TestScheduleRoundTrip:
         payload = encode_schedule(schedule)
         for value in payload["extra"].values():
             assert isinstance(value, (bool, int, float, str)) or value is None
-        json.dumps(payload)  # the whole payload must be JSON-safe
+        json.dumps(payload["extra"])  # the probe trace stayed behind
 
     def test_wrong_version_rejected(self):
         # the schedule decoder must validate `version` like the problem
@@ -186,25 +192,25 @@ class TestScheduleRoundTrip:
         payload["version"] = 99
         with pytest.raises(CodecError, match="version"):
             decode_schedule(payload, problem)
+        del payload["version"]
+        with pytest.raises(CodecError, match="version None"):
+            decode_schedule(payload, problem)
 
     def test_corrupted_assignment_rejected_by_validation(self):
         """A bucket routed off its replica set must raise, not pass."""
         problem = small_problem()
         schedule = solve(problem, solver="pr-binary")
         payload = encode_schedule(schedule)
-        replicas = set(problem.replicas[0])
+        pairs = array("q")
+        pairs.frombytes(payload["assignment_flat"])
+        last = pairs[-2]
+        replicas = set(problem.replicas[last])
         bad = next(
             d for d in range(problem.system.num_disks) if d not in replicas
         )
-        payload["assignment"][0] = [0, bad]
+        pairs[-1] = bad
+        payload["assignment_flat"] = pairs.tobytes()
         with pytest.raises(InfeasibleScheduleError):
-            decode_schedule(payload, problem)
-
-    def test_fractional_assignment_rejected(self):
-        problem = small_problem()
-        payload = encode_schedule(solve(problem, solver="pr-binary"))
-        payload["assignment"][0][1] = 1.5
-        with pytest.raises(CodecError, match="integral"):
             decode_schedule(payload, problem)
 
     def test_nan_response_time_roundtrips_as_float(self):
@@ -295,11 +301,18 @@ class TestFlatPayloadRoundTrip:
         assert back.stats.pushes == 2**63 + 1
 
     def test_unsupported_version_argument_rejected(self):
-        with pytest.raises(CodecError, match="version"):
-            encode_problem(small_problem(), version=99)
         schedule = solve(small_problem(), solver="pr-binary")
-        with pytest.raises(CodecError, match="version"):
-            encode_schedule(schedule, version=99)
+        for version in (1, 99):
+            with pytest.raises(CodecError, match="version"):
+                encode_problem(small_problem(), version=version)
+            with pytest.raises(CodecError, match="version"):
+                encode_schedule(schedule, version=version)
+
+    def test_default_version_is_the_flat_schema(self):
+        problem = small_problem()
+        schedule = solve(problem, solver="pr-binary")
+        assert encode_problem(problem)["version"] == FLAT_PAYLOAD_VERSION
+        assert encode_schedule(schedule)["version"] == FLAT_PAYLOAD_VERSION
 
 
 class TestFlatPayloadAdversarial:
@@ -323,8 +336,6 @@ class TestFlatPayloadAdversarial:
             decode_problem(payload)
 
     def test_spec_index_out_of_range_rejected(self):
-        from array import array
-
         payload = encode_problem(small_problem(), version=FLAT_PAYLOAD_VERSION)
         idx = array("q")
         idx.frombytes(payload["disk_spec_idx"])
@@ -347,10 +358,19 @@ class TestFlatPayloadAdversarial:
         with pytest.raises(CodecError, match="assignment_flat"):
             decode_schedule(payload, problem)
 
+    def test_repeated_bucket_rejected(self):
+        # a later pair must not silently overwrite an earlier one, even
+        # when both disks are valid replicas of the bucket
+        problem = small_problem()
+        payload = encode_schedule(solve(problem, solver="pr-binary"))
+        payload["assignment_flat"] = array(
+            "q", [0, 2, 0, 0, 1, 1, 2, 0]
+        ).tobytes()
+        with pytest.raises(CodecError, match="repeats bucket 0"):
+            decode_schedule(payload, problem)
+
     def test_corrupted_assignment_rejected_by_validation(self):
         # flat wire form or not, schedule validation still gates entry
-        from array import array
-
         problem = small_problem()
         schedule = solve(problem, solver="pr-binary")
         payload = encode_schedule(schedule, version=FLAT_PAYLOAD_VERSION)

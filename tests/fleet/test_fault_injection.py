@@ -101,7 +101,7 @@ class TestServerCrash:
             svc.close()
 
     def test_submit_after_worker_death_is_internal_not_retried(self, service):
-        fleet = service._backend.fleet
+        fleet = service._fleet
         coords = [[0, 0], [1, 1], [2, 2]]
         with BackgroundServer(service, ServerConfig(max_inflight=8)) as bg:
             client = SchedulerClient(

@@ -1,4 +1,4 @@
-"""SolveFleet lanes, routing, and the solve-backend registry."""
+"""SolveFleet lanes, routing, the worker's codec check, and backend selection."""
 
 from __future__ import annotations
 
@@ -6,27 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import RetrievalProblem, solve
-from repro.fleet import (
-    BACKENDS,
-    SOLVE_BACKEND_ENV,
-    ProcessSolveBackend,
-    SolveBackend,
-    SolveFleet,
-    ThreadSolveBackend,
-    make_backend,
-    resolve_backend_name,
-)
-from repro.fleet.codec import (
-    FLAT_PAYLOAD_VERSION,
-    PAYLOAD_VERSION,
-    SUPPORTED_PAYLOAD_VERSIONS,
-    decode_schedule,
-    encode_problem,
-)
-from repro.fleet.pool import CODEC_ENV, WorkerCrashedError
-from repro.fleet.worker import worker_die, worker_solve
-from repro.service import ServiceConfig
+from repro.decluster import make_placement
+from repro.fleet import CodecError, SolveFleet
+from repro.fleet.codec import encode_problem
+from repro.fleet.worker import worker_solve
+from repro.service import SchedulerService, ServiceConfig
 from repro.storage import StorageSystem
+
+SOLVE_BACKEND_ENV = "REPRO_SOLVE_BACKEND"
 
 
 def small_problem(seed: int = 0) -> RetrievalProblem:
@@ -96,125 +83,103 @@ class TestLanes:
             f.solve(small_problem())
 
 
-class TestCodecNegotiation:
-    def test_lanes_negotiate_the_flat_codec(self, fleet):
-        for lane in range(fleet.num_workers):
-            assert fleet.lane_codec_version(lane) == FLAT_PAYLOAD_VERSION
-        # negotiated once, then cached
-        assert fleet._lane_codec == [FLAT_PAYLOAD_VERSION] * fleet.num_workers
+class TestWorkerCodec:
+    def test_worker_rejects_other_versions(self):
+        payload = encode_problem(small_problem())
+        for version in (1, 3):
+            payload["version"] = version
+            with pytest.raises(CodecError, match="version"):
+                worker_solve({
+                    "problem": payload,
+                    "solver": "pr-binary",
+                    "solver_kwargs": {},
+                    "cache_ns": "",
+                    "cache_size": 0,
+                })
 
-    def test_env_override_forces_legacy_v1(self, monkeypatch):
-        monkeypatch.setenv(CODEC_ENV, str(PAYLOAD_VERSION))
-        with SolveFleet(1, cache_size=0, warmup=False) as f:
-            assert f.lane_codec_version(0) == PAYLOAD_VERSION
-            schedule, _ = f.solve(small_problem())
-        assert schedule.assignment == solve(
-            small_problem(), solver="pr-binary"
-        ).assignment
 
-    def test_env_override_rejects_unknown_versions(self, monkeypatch):
-        monkeypatch.setenv(CODEC_ENV, "99")
-        with pytest.raises(ValueError, match="unsupported"):
-            SolveFleet(1, warmup=False)
-        monkeypatch.setenv(CODEC_ENV, "fast")
-        with pytest.raises(ValueError, match="integer"):
-            SolveFleet(1, warmup=False)
-
-    def test_worker_replies_in_the_request_version(self):
-        # a v1 coordinator must get a v1 reply — the worker mirrors the
-        # version the problem arrived in rather than its own maximum
-        problem = small_problem()
-        for version in SUPPORTED_PAYLOAD_VERSIONS:
-            reply = worker_solve({
-                "problem": encode_problem(problem, version=version),
-                "solver": "pr-binary",
-                "solver_kwargs": {},
-                "cache_ns": "",
-                "cache_size": 0,
-            })
-            assert reply["schedule"]["version"] == version
-            schedule = decode_schedule(reply["schedule"], problem)
-            assert schedule.assignment == solve(
-                problem, solver="pr-binary"
-            ).assignment
-
-    def test_rebuilt_lane_renegotiates(self):
-        with SolveFleet(1, cache_size=0) as f:
-            assert f.lane_codec_version(0) == FLAT_PAYLOAD_VERSION
-            future = f.submit_fn(0, worker_die)
-            with pytest.raises(Exception):
-                future.result(timeout=30)
-            with pytest.raises(WorkerCrashedError):
-                f.solve(small_problem())
-            # the rebuild reset the cached version; it re-resolves
-            assert f._lane_codec[0] is None
-            assert f.lane_codec_version(0) == FLAT_PAYLOAD_VERSION
-            schedule, _ = f.solve(small_problem())
-            assert schedule.response_time_ms > 0
+def deployment(N=4):
+    placement = make_placement("orthogonal", N, num_sites=2, seed=0)
+    system = StorageSystem.homogeneous(2 * N, "cheetah", num_sites=2)
+    return system, placement
 
 
 class TestBackendRegistry:
-    def test_registry_names(self):
-        assert set(BACKENDS) == {"thread", "process"}
-        for cls in BACKENDS.values():
-            assert issubclass(cls, SolveBackend)
+    """Backend names resolve in ``ServiceConfig``: explicit > env > thread."""
 
     def test_resolution_precedence(self, monkeypatch):
         monkeypatch.delenv(SOLVE_BACKEND_ENV, raising=False)
-        assert resolve_backend_name(None) == "thread"
+        assert ServiceConfig().resolved_solve_backend() == "thread"
         monkeypatch.setenv(SOLVE_BACKEND_ENV, "process")
-        assert resolve_backend_name(None) == "process"
+        assert ServiceConfig().resolved_solve_backend() == "process"
         # explicit beats the environment
-        assert resolve_backend_name("thread") == "thread"
+        cfg = ServiceConfig(solve_backend="thread")
+        assert cfg.resolved_solve_backend() == "thread"
 
     def test_unknown_names_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown solve backend"):
-            resolve_backend_name("carrier-pigeon")
+            ServiceConfig(solve_backend="carrier-pigeon").resolved_solve_backend()
         monkeypatch.setenv(SOLVE_BACKEND_ENV, "bogus")
         with pytest.raises(ValueError, match="unknown solve backend"):
-            resolve_backend_name(None)
+            ServiceConfig().resolved_solve_backend()
 
     def test_config_resolves_through_the_registry(self, monkeypatch):
-        monkeypatch.delenv(SOLVE_BACKEND_ENV, raising=False)
-        assert ServiceConfig().resolved_solve_backend() == "thread"
-        cfg = ServiceConfig(solve_backend="process")
-        assert cfg.resolved_solve_backend() == "process"
+        # the service follows the resolved name: the env alone is enough
+        # to put it on a fleet
         monkeypatch.setenv(SOLVE_BACKEND_ENV, "process")
-        assert ServiceConfig().resolved_solve_backend() == "process"
+        svc = SchedulerService(*deployment(), config=ServiceConfig(cache_size=0))
+        try:
+            assert svc.solve_backend == "process"
+            assert svc._fleet is not None
+            assert svc.cache is None
+        finally:
+            svc.close()
 
     def test_config_validates_fleet_workers(self):
         with pytest.raises(ValueError, match="fleet_workers"):
             ServiceConfig(fleet_workers=0)
 
     def test_thread_backend_matches_core_solve(self):
-        problem = small_problem(1)
-        backend = make_backend("thread")
-        schedule, hit = backend.solve(problem)
-        assert hit is False
-        assert schedule.response_time_ms == solve(problem).response_time_ms
-        backend.close()  # no-op, must not raise
+        system, placement = deployment()
+        problem = RetrievalProblem.from_query(
+            system, placement, [(0, 0), (1, 1), (2, 3)]
+        )
+        expected = solve(problem)
+        svc = SchedulerService(
+            system, placement,
+            config=ServiceConfig(solve_backend="thread", cache_size=0),
+        )
+        assert svc._fleet is None
+        record = svc.submit([(0, 0), (1, 1), (2, 3)], arrival_ms=0.0)
+        assert record.response_time_ms == expected.response_time_ms
+        svc.close()  # nothing to release, must not raise
 
-    def test_make_backend_adopts_a_shared_fleet_without_ownership(self, fleet):
-        backend = make_backend("process", fleet=fleet)
-        assert isinstance(backend, ProcessSolveBackend)
-        assert backend.fleet is fleet
-        backend.close()
-        # the shared fleet must survive the backend's close
+
+class TestServiceFleetOwnership:
+    def test_service_leaves_a_shared_fleet_open(self, fleet):
+        svc = SchedulerService(
+            *deployment(),
+            config=ServiceConfig(solve_backend="process", fleet=fleet),
+        )
+        assert svc._fleet is fleet
+        svc.submit([(0, 0), (1, 2)], arrival_ms=0.0)
+        svc.close()
+        svc.close()  # idempotent
+        # the shared fleet must survive the service's close
         schedule, _ = fleet.solve(small_problem(2))
         assert len(schedule.assignment) == small_problem(2).num_buckets
 
-    def test_make_backend_owns_a_private_fleet(self):
-        backend = make_backend("process", fleet_workers=1, cache_size=0)
+    def test_service_closes_its_own_fleet(self):
+        svc = SchedulerService(
+            *deployment(),
+            config=ServiceConfig(solve_backend="process", cache_size=0),
+        )
+        owned = svc._fleet
+        assert owned is not None and owned.num_workers == 1
         try:
-            schedule, hit = backend.solve(small_problem(4))
-            assert hit is False
-            assert schedule.solver == "pr-binary"
+            record = svc.submit([(0, 0), (1, 2)], arrival_ms=0.0)
+            assert record.cache_hit is False
         finally:
-            backend.close()
+            svc.close()
         with pytest.raises(RuntimeError, match="closed"):
-            backend.fleet.solve(small_problem(4))
-
-    def test_thread_backend_registered_class_is_instantiable(self):
-        backend = BACKENDS["thread"](solver="pr-binary")
-        assert isinstance(backend, ThreadSolveBackend)
-        assert backend.name == "thread"
+            owned.solve(small_problem(4))

@@ -3,13 +3,11 @@
 The four historical entry styles (one-shot solve, SchedulerService,
 ShardedSchedulerService, net clients) must all be reachable through
 ``api.Scheduler`` with the *same* ``submit(query, *, deadline=None)``
-spelling, and the old top-level imports must keep working behind a
-warn-once deprecation shim.
+spelling.  The service classes are not re-exported from the top-level
+``repro`` package.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ import repro
 from repro import api
 from repro.decluster import make_placement
 from repro.errors import PredictedOverloadError
-from repro.net import OverloadedError, RetryPolicy, SchedulerClient
+from repro.net import OverloadedError, RetryPolicy
 from repro.online import OnlineConfig
 from repro.service import ServiceConfig
 from repro.storage import StorageSystem
@@ -139,28 +137,18 @@ class TestServeAndConnect:
 
 
 class TestDeprecationShims:
-    def test_legacy_top_level_import_warns_once(self, monkeypatch):
-        monkeypatch.setattr(repro, "_legacy_surface_warned", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            svc_cls = repro.SchedulerService
-            cfg_cls = repro.ServiceConfig
-            client_cls = repro.SchedulerClient
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api" in str(deprecations[0].message)
-        # the shim still hands back the real classes
-        from repro.service import SchedulerService as real_svc
-
-        assert svc_cls is real_svc
-        assert cfg_cls is ServiceConfig
-        assert client_cls is SchedulerClient
-
     def test_unknown_top_level_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist
+        # the service entry points live in their layers (or behind
+        # repro.api), not at the top level
+        for name in (
+            "does_not_exist",
+            "SchedulerService",
+            "ShardedSchedulerService",
+            "ServiceConfig",
+            "SchedulerClient",
+        ):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
     def test_api_reexports_solve(self):
         from repro.core.api import solve as core_solve

@@ -158,10 +158,21 @@ class TestConcurrency:
         assert closed.is_set()
 
     def test_close_is_idempotent(self):
-        svc = make_service(time_fn=FakeClock())
+        # pinned to the thread backend: only it still serves after close
+        svc = make_service(time_fn=FakeClock(), solve_backend="thread")
         svc.close()
         svc.close()
         svc.submit([(0, 0)])  # thread backend still serves after close
+
+    def test_process_backend_close_is_idempotent_then_refuses(self):
+        svc = make_service(
+            time_fn=FakeClock(), solve_backend="process", cache_size=0
+        )
+        svc.submit([(0, 0)])
+        svc.close()
+        svc.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            svc.submit([(1, 1)])
 
 
 class TestSolverChoice:

@@ -1,4 +1,4 @@
-"""ServiceConfig and the legacy-keyword deprecation shim."""
+"""ServiceConfig, and the removed pre-config keyword arguments."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro.decluster import make_placement
 from repro.obs import MetricsRegistry
+from repro.online import OnlineScheduler
 from repro.service import SchedulerService, ServiceConfig
-from repro.service import scheduler as scheduler_mod
 from repro.storage import StorageSystem
 
 
@@ -59,40 +59,24 @@ class TestConfigValue:
 
 
 class TestLegacyShim:
-    def setup_method(self):
-        scheduler_mod._legacy_kwargs_warned = False
+    """The pre-config keywords are gone: ``config=`` is the only spelling."""
 
-    def test_legacy_kwargs_warn_once(self):
-        import warnings
-
+    def test_legacy_kwargs_raise_type_error(self):
         system, placement = deployment()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            svc = SchedulerService(system, placement, time_fn=FakeClock())
-            SchedulerService(*deployment(), time_fn=FakeClock())
-        # exactly one warning across both legacy constructions, and it
-        # is a DeprecationWarning pointing at ServiceConfig
-        assert len(caught) == 1
-        assert caught[0].category is DeprecationWarning
-        assert "ServiceConfig" in str(caught[0].message)
-        assert svc.submit([(0, 0)]).response_time_ms > 0
-        # and once latched, even an error filter stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            SchedulerService(*deployment(), time_fn=FakeClock())
-
-    def test_legacy_solver_kwargs_forwarded(self):
-        system, placement = deployment()
-        with pytest.warns(DeprecationWarning):
-            svc = SchedulerService(
-                system, placement, solver="ff-binary", time_fn=FakeClock()
-            )
-        assert svc.solver == "ff-binary"
-        assert svc.config.solver == "ff-binary"
+        for kwargs in (
+            {"solver": "ff-binary"},
+            {"time_fn": FakeClock()},
+            {"registry": MetricsRegistry()},
+            {"engine": "dinic"},  # formerly forwarded as **solver_kwargs
+        ):
+            with pytest.raises(TypeError):
+                SchedulerService(system, placement, **kwargs)
+        with pytest.raises(TypeError):
+            OnlineScheduler(system, placement, time_fn=FakeClock())
 
     def test_config_plus_legacy_is_error(self):
         system, placement = deployment()
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError):
             SchedulerService(
                 system, placement, ServiceConfig(), solver="ff-binary"
             )
