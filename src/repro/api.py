@@ -23,8 +23,9 @@ use.  ``deadline`` is a *response-time admission target* in ms: a query
 whose proven response-time lower bound exceeds it is refused
 (:class:`~repro.errors.PredictedOverloadError` locally,
 :class:`~repro.net.OverloadedError` over the wire) instead of scheduled
-late.  The old entry points keep working — importing them from the top
-level now warns once and points here.
+late.  The underlying classes stay importable from their own packages
+(:mod:`repro.service`, :mod:`repro.net`); the top-level ``repro``
+namespace no longer re-exports them.
 """
 
 from __future__ import annotations

@@ -1,211 +1,19 @@
-"""Service throughput benchmark: legacy hot path vs concurrent pipeline.
+"""The seeded two-site deployment the repository benchmark builds on.
 
-The concurrent-pipeline claim needs evidence, so this module makes it
-measurable: hammer a scheduler with T threads of repeating queries and
-report sustained submit throughput plus per-call decision-latency
-percentiles, for three service modes —
-
-``legacy``
-    The pre-pipeline hot path, reproduced by :class:`LegacyScheduler`:
-    every submit performs coordinate validation, replica lookup,
-    degraded filtering, network construction *and* the solve inside one
-    big lock, with no warm-start reuse.
-``pipeline``
-    The redesigned :class:`~repro.service.SchedulerService`: problem
-    construction off-lock + warm-start network cache.
-``batch``
-    The same service with batched admission (``batch_window_ms > 0``):
-    concurrent submits coalesce into joint ``solve_batch`` schedules.
-
-Every run double-checks correctness on the side: a deterministic serial
-replay of the same workload under a fake clock must produce the same
-per-query response times the benchmarked ``pipeline`` service computed
-(the cache must never change an answer).
+Only :func:`_build_deployment` lives here.  ``perfbench/`` (``common``,
+``inproc``, ``run`` and ``wire``), :mod:`repro.bench.soak_bench` and the
+fleet fault-injection tests import it from this path, so the function
+and the module path stay fixed for perfbench's sake: its deployments
+must not move.  A change to the benchmark itself may move the function
+somewhere more fitting and repoint those imports.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
-from repro.core.api import solve
-from repro.core.problem import RetrievalProblem
 from repro.decluster.multisite import make_placement
-from repro.service import (
-    SchedulerService,
-    ServiceConfig,
-    ShardedSchedulerService,
-)
 from repro.storage.system import StorageSystem
-
-__all__ = [
-    "LegacyScheduler",
-    "ModeResult",
-    "ServiceBenchResult",
-    "make_workload",
-    "run_mode",
-    "run_service_bench",
-]
-
-
-def _quantile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.quantile(np.asarray(values, dtype=float), q))
-
-
-# ----------------------------------------------------------------------
-# the baseline under test
-# ----------------------------------------------------------------------
-class LegacyScheduler:
-    """The pre-pipeline service hot path, kept as the benchmark baseline.
-
-    Mirrors what ``SchedulerService.submit`` did before the concurrent
-    pipeline: one lock around the *entire* admission — construction,
-    network build, cold solve, horizon advance.  Intentionally minimal
-    (no metrics, no failure handling) so the comparison isolates the
-    locking structure and the warm-start reuse, not bookkeeping costs.
-    """
-
-    def __init__(self, system, placement, solver: str = "pr-binary") -> None:
-        self.system = system
-        self.placement = placement
-        self.solver = solver
-        self._lock = threading.Lock()
-        self._busy_until = [0.0] * system.num_disks
-        self.decision_ms: list[float] = []
-
-    def submit(self, coords) -> float:
-        """Schedule one query; returns its response time (ms)."""
-        with self._lock:
-            now = time.perf_counter() * 1000.0
-            loads = [max(0.0, u - now) for u in self._busy_until]
-            self.system.set_loads(loads)
-            problem = RetrievalProblem.from_query(
-                self.system, self.placement, list(coords)
-            )
-            schedule = solve(problem, solver=self.solver)
-            for j, k in enumerate(schedule.counts_per_disk()):
-                if k:
-                    disk = self.system.disk(j)
-                    self._busy_until[j] = (
-                        now + loads[j] + k * disk.block_time_ms
-                    )
-            self.decision_ms.append(schedule.stats.wall_time_s * 1000.0)
-            return schedule.response_time_ms
-
-
-# ----------------------------------------------------------------------
-# workload + measurement
-# ----------------------------------------------------------------------
-def make_workload(
-    n: int,
-    threads: int,
-    queries_per_thread: int,
-    *,
-    distinct: int = 12,
-    seed: int = 0,
-) -> list[list[list[tuple[int, int]]]]:
-    """Per-thread query streams drawn from a shared pool of signatures.
-
-    Real frontends see repeating and overlapping queries; ``distinct``
-    bounds the signature pool so the warm-start cache has something to
-    hit (the legacy baseline sees the identical streams).
-    """
-    rng = np.random.default_rng(seed)
-    pool: list[list[tuple[int, int]]] = []
-    for _ in range(distinct):
-        k = int(rng.integers(2, 7))
-        cells = rng.choice(n * n, size=k, replace=False)
-        pool.append([(int(c) // n, int(c) % n) for c in cells])
-    return [
-        [pool[int(rng.integers(len(pool)))] for _ in range(queries_per_thread)]
-        for _ in range(threads)
-    ]
-
-
-def _hammer(submit, streams) -> tuple[float, list[float], list]:
-    """Run one stream per thread; returns (wall_s, latencies_ms, errors)."""
-    latencies: list[float] = []
-    outputs: list = []
-    errors: list = []
-    lat_lock = threading.Lock()
-    barrier = threading.Barrier(len(streams) + 1)
-
-    def worker(stream):
-        mine = []
-        outs = []
-        try:
-            barrier.wait(timeout=60)
-            for coords in stream:
-                t0 = time.perf_counter()
-                outs.append(submit(coords))
-                mine.append((time.perf_counter() - t0) * 1000.0)
-        except Exception as exc:  # noqa: BLE001 - re-raised by the caller
-            errors.append(exc)
-        with lat_lock:
-            latencies.extend(mine)
-            outputs.extend(outs)
-
-    threads = [threading.Thread(target=worker, args=(s,)) for s in streams]
-    for t in threads:
-        t.start()
-    barrier.wait(timeout=60)
-    t0 = time.perf_counter()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - t0
-    if errors:
-        raise errors[0]
-    return wall, latencies, outputs
-
-
-@dataclass
-class ModeResult:
-    """One mode's measurements on the stress workload."""
-
-    mode: str
-    queries: int
-    wall_s: float
-    throughput_qps: float
-    p50_submit_ms: float
-    p95_submit_ms: float
-    mean_submit_ms: float
-    p50_decision_ms: float = 0.0
-    p95_decision_ms: float = 0.0
-    p95_response_ms: float = 0.0
-    cache_hit_rate: float = 0.0
-    batches: int = 0
-    mean_batch_size: float = 0.0
-
-
-@dataclass
-class ServiceBenchResult:
-    """The full before/after comparison (JSON-serialisable via to_dict)."""
-
-    n: int
-    threads: int
-    queries_per_thread: int
-    distinct_signatures: int
-    solver: str
-    modes: dict = field(default_factory=dict)
-
-    @property
-    def speedup_pipeline(self) -> float:
-        legacy = self.modes.get("legacy")
-        pipe = self.modes.get("pipeline")
-        if not legacy or not pipe or not legacy.throughput_qps:
-            return 0.0
-        return pipe.throughput_qps / legacy.throughput_qps
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["modes"] = {k: asdict(v) for k, v in self.modes.items()}
-        out["speedup_pipeline_vs_legacy"] = round(self.speedup_pipeline, 3)
-        return out
 
 
 def _build_deployment(n: int, seed: int):
@@ -215,168 +23,3 @@ def _build_deployment(n: int, seed: int):
         ["ssd+hdd", "ssd+hdd"], n, delays_ms=[1.0, 4.0], rng=rng
     )
     return system, placement
-
-
-def run_mode(
-    mode: str,
-    streams,
-    *,
-    n: int,
-    seed: int,
-    solver: str = "pr-binary",
-    batch_window_ms: float = 2.0,
-    cache_size: int = 64,
-    shards: int = 2,
-) -> ModeResult:
-    """Benchmark one service mode on prepared per-thread streams."""
-    system, placement = _build_deployment(n, seed)
-    total = sum(len(s) for s in streams)
-    if mode == "legacy":
-        sched = LegacyScheduler(system, placement, solver=solver)
-        wall, lats, _ = _hammer(sched.submit, streams)
-        extra = {
-            "p50_decision_ms": _quantile(sched.decision_ms, 0.50),
-            "p95_decision_ms": _quantile(sched.decision_ms, 0.95),
-        }
-    elif mode == "sharded":
-        # disjoint disk groups run truly in parallel: one deployment
-        # (and one solve lock) per shard, hash-routed submits
-        config = ServiceConfig(solver=solver, cache_size=cache_size)
-        sharded = ShardedSchedulerService(
-            [_build_deployment(n, seed + k) for k in range(shards)],
-            config=config,
-        )
-        wall, lats, _ = _hammer(sharded.submit, streams)
-        merged = sharded.stats()
-        decisions = [
-            r.decision_time_ms for svc in sharded.services for r in svc.history
-        ]
-        extra = {
-            "p50_decision_ms": _quantile(decisions, 0.50),
-            "p95_decision_ms": _quantile(decisions, 0.95),
-            "p95_response_ms": merged.p95_response_ms,
-            "cache_hit_rate": (
-                merged.cache_hits / merged.queries if merged.queries else 0.0
-            ),
-        }
-    elif mode in ("pipeline", "batch"):
-        config = ServiceConfig(
-            solver=solver,
-            cache_size=cache_size,
-            batch_window_ms=batch_window_ms if mode == "batch" else 0.0,
-        )
-        svc = SchedulerService(system, placement, config=config)
-        wall, lats, _ = _hammer(svc.submit, streams)
-        stats = svc.stats()
-        decisions = [r.decision_time_ms for r in svc.history]
-        extra = {
-            "p50_decision_ms": _quantile(decisions, 0.50),
-            "p95_decision_ms": _quantile(decisions, 0.95),
-            "p95_response_ms": stats.p95_response_ms,
-            "cache_hit_rate": (
-                stats.cache_hits / stats.queries if stats.queries else 0.0
-            ),
-            "batches": stats.batches,
-            "mean_batch_size": (
-                stats.queries / stats.batches if stats.batches else 0.0
-            ),
-        }
-    else:
-        raise ValueError(f"unknown service bench mode {mode!r}")
-    return ModeResult(
-        mode=mode,
-        queries=total,
-        wall_s=wall,
-        throughput_qps=total / wall if wall else 0.0,
-        p50_submit_ms=_quantile(lats, 0.50),
-        p95_submit_ms=_quantile(lats, 0.95),
-        mean_submit_ms=sum(lats) / len(lats) if lats else 0.0,
-        **extra,
-    )
-
-
-def check_cache_transparency(n: int, seed: int, solver: str = "pr-binary"):
-    """Serial replay: cached vs cold answers must match exactly.
-
-    Replays one deterministic stream under a fake clock against a
-    cache-enabled and a cache-disabled service built on identical
-    deployments; any response-time divergence is a correctness bug in
-    the warm-start path and fails the benchmark run loudly.
-    """
-    streams = make_workload(n, 1, 24, distinct=6, seed=seed)
-    clock_a = [0.0]
-    clock_b = [0.0]
-    warm = SchedulerService(
-        *_build_deployment(n, seed),
-        config=ServiceConfig(
-            solver=solver, cache_size=32, time_fn=lambda: clock_a[0]
-        ),
-    )
-    cold = SchedulerService(
-        *_build_deployment(n, seed),
-        config=ServiceConfig(
-            solver=solver, cache_size=0, time_fn=lambda: clock_b[0]
-        ),
-    )
-    for coords in streams[0]:
-        a = warm.submit(coords)
-        b = cold.submit(coords)
-        if abs(a.response_time_ms - b.response_time_ms) > 1e-9:
-            raise AssertionError(
-                f"warm-start changed an answer: {a.response_time_ms} != "
-                f"{b.response_time_ms} for {coords}"
-            )
-        clock_a[0] += 1.0
-        clock_b[0] += 1.0
-    return warm.cache.hits
-
-
-def run_service_bench(
-    *,
-    n: int = 6,
-    threads: int = 8,
-    queries_per_thread: int = 12,
-    distinct: int = 12,
-    solver: str = "pr-binary",
-    batch_window_ms: float = 2.0,
-    cache_size: int = 64,
-    seed: int = 0,
-    repeats: int = 3,
-    shards: int = 2,
-    modes: tuple = ("legacy", "pipeline", "batch", "sharded"),
-) -> ServiceBenchResult:
-    """The full stress comparison (defaults match the stress-test scale).
-
-    Each mode runs ``repeats`` times on a fresh deployment and reports
-    its best run — thread-scheduling noise at second-scale runs is
-    large, and the sustained-throughput question is about the pipeline,
-    not the OS scheduler.
-    """
-    check_cache_transparency(n, seed, solver=solver)
-    streams = make_workload(
-        n, threads, queries_per_thread, distinct=distinct, seed=seed
-    )
-    result = ServiceBenchResult(
-        n=n,
-        threads=threads,
-        queries_per_thread=queries_per_thread,
-        distinct_signatures=distinct,
-        solver=solver,
-    )
-    for mode in modes:
-        best: ModeResult | None = None
-        for _ in range(max(1, repeats)):
-            run = run_mode(
-                mode,
-                streams,
-                n=n,
-                seed=seed,
-                solver=solver,
-                batch_window_ms=batch_window_ms,
-                cache_size=cache_size,
-                shards=shards,
-            )
-            if best is None or run.throughput_qps > best.throughput_qps:
-                best = run
-        result.modes[mode] = best
-    return result

@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.bench.service_bench import _build_deployment, _quantile
+from repro.bench.service_bench import _build_deployment
 from repro.cluster.config import ClusterConfig
 from repro.cluster.run import BackgroundCluster
 from repro.net.client import (
@@ -51,6 +51,13 @@ from repro.service.signature import (
 from repro.workloads.mixed import MixComponent, WorkloadMix
 
 __all__ = ["SoakResult", "format_soak_bench", "run_soak_bench"]
+
+
+def _quantile(values: list[float], q: float) -> float:
+    if not values:
+        return 0.0
+    return float(np.quantile(np.asarray(values, dtype=float), q))
+
 
 #: the default blend: mostly interactive viewports, a heavy tail of
 #: analytical sweeps (mirrors the WorkloadMix docstring scenario)

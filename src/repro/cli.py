@@ -138,66 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("--queries", type=int, default=5)
     p_mat.add_argument("--seed", type=int, default=0)
 
-    p_svc = sub.add_parser(
-        "service-bench",
-        help="stress the scheduler service: legacy vs pipeline vs batch",
-    )
-    p_svc.add_argument("--n", type=int, default=6, help="disks per site")
-    p_svc.add_argument("--threads", type=int, default=8)
-    p_svc.add_argument("--queries", type=int, default=12,
-                       help="queries per thread")
-    p_svc.add_argument("--distinct", type=int, default=12,
-                       help="distinct query signatures in the pool")
-    p_svc.add_argument("--solver", default="pr-binary")
-    p_svc.add_argument("--window-ms", type=float, default=2.0,
-                       help="batched-admission window for the batch mode")
-    p_svc.add_argument("--cache-size", type=int, default=64)
-    p_svc.add_argument("--seed", type=int, default=0)
-    p_svc.add_argument("--output", metavar="FILE.json", default=None,
-                       help="save the comparison as JSON evidence")
-
-    p_nb = sub.add_parser(
-        "net-bench",
-        help="measure RPC-over-localhost vs direct in-process submit",
-    )
-    p_nb.add_argument("--n", type=int, default=6, help="disks per site")
-    p_nb.add_argument("--clients", type=int, default=4)
-    p_nb.add_argument("--queries", type=int, default=25,
-                      help="requests per client")
-    p_nb.add_argument("--distinct", type=int, default=12,
-                      help="distinct query signatures in the pool")
-    p_nb.add_argument("--solver", default="pr-binary")
-    p_nb.add_argument("--cache-size", type=int, default=64)
-    p_nb.add_argument("--pool-size", type=int, default=1,
-                      help="connections per client")
-    p_nb.add_argument("--max-inflight", type=int, default=64)
-    p_nb.add_argument("--workers", type=int, default=0,
-                      help="also run the 'fleet' mode: N scheduler shards "
-                           "over an N-lane process pool (0 skips it)")
-    p_nb.add_argument("--seed", type=int, default=0)
-    p_nb.add_argument("--output", metavar="FILE.json", default=None,
-                      help="save the comparison as JSON evidence")
-
-    p_ob = sub.add_parser(
-        "online-bench",
-        help="open-loop online-mode harness: arrivals, drains, repair",
-    )
-    p_ob.add_argument("--n", type=int, default=6, help="disks per site")
-    p_ob.add_argument("--queries", type=int, default=60,
-                      help="arrivals in the Poisson trace")
-    p_ob.add_argument("--interarrival-ms", type=float, default=15.0,
-                      help="mean interarrival time (lower = more overlap)")
-    p_ob.add_argument("--solver", default="pr-binary")
-    p_ob.add_argument("--cache-size", type=int, default=64)
-    p_ob.add_argument("--max-predicted-ms", type=float, default=None,
-                      help="predictive admission target; arrivals whose "
-                           "response-time lower bound exceeds it are shed")
-    p_ob.add_argument("--no-verify", action="store_true",
-                      help="skip the offline re-solve differential")
-    p_ob.add_argument("--seed", type=int, default=0)
-    p_ob.add_argument("--output", metavar="FILE.json", default=None,
-                      help="save the run as JSON evidence")
-
     p_serve = sub.add_parser(
         "serve",
         help="serve the scheduler over TCP (asyncio RPC front end)",
@@ -902,105 +842,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings or stale else 0
 
 
-def _cmd_service_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.reporting import format_table
-    from repro.bench.service_bench import run_service_bench
-
-    result = run_service_bench(
-        n=args.n,
-        threads=args.threads,
-        queries_per_thread=args.queries,
-        distinct=args.distinct,
-        solver=args.solver,
-        batch_window_ms=args.window_ms,
-        cache_size=args.cache_size,
-        seed=args.seed,
-    )
-    rows = [
-        [
-            mode,
-            m.queries,
-            f"{m.throughput_qps:.1f}",
-            f"{m.p50_submit_ms:.3f}",
-            f"{m.p95_submit_ms:.3f}",
-            f"{m.p95_decision_ms:.3f}",
-            f"{m.cache_hit_rate:.2f}",
-            m.batches,
-        ]
-        for mode, m in result.modes.items()
-    ]
-    print(format_table(
-        ["mode", "queries", "qps", "p50 submit ms", "p95 submit ms",
-         "p95 decision ms", "cache hit", "batches"],
-        rows,
-    ))
-    print(
-        f"pipeline vs legacy throughput: {result.speedup_pipeline:.2f}x"
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"saved {args.output}")
-    return 0
-
-
-def _cmd_net_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.net_bench import format_net_bench, run_net_bench
-
-    try:
-        result = run_net_bench(
-            n=args.n,
-            clients=args.clients,
-            requests_per_client=args.queries,
-            distinct=args.distinct,
-            solver=args.solver,
-            cache_size=args.cache_size,
-            pool_size=args.pool_size,
-            max_inflight=args.max_inflight,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    except ValueError as exc:  # e.g. --workers beyond os.cpu_count()
-        print(f"repro net-bench: {exc}", file=sys.stderr)
-        return 2
-    print(format_net_bench(result))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"saved {args.output}")
-    return 0
-
-
-def _cmd_online_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.online_bench import format_online_bench, run_online_bench
-
-    result = run_online_bench(
-        n=args.n,
-        queries=args.queries,
-        mean_interarrival_ms=args.interarrival_ms,
-        solver=args.solver,
-        cache_size=args.cache_size,
-        max_predicted_response_ms=args.max_predicted_ms,
-        seed=args.seed,
-        verify=not args.no_verify,
-    )
-    print(format_online_bench(result))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"saved {args.output}")
-    return 0
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, run_cluster
 
@@ -1147,20 +988,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "service-bench":
-        return _cmd_service_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "request":
         return _cmd_request(args)
-    if args.command == "net-bench":
-        return _cmd_net_bench(args)
     if args.command == "cluster":
         return _cmd_cluster(args)
     if args.command == "soak-bench":
         return _cmd_soak_bench(args)
-    if args.command == "online-bench":
-        return _cmd_online_bench(args)
     if args.command == "profile":
         from repro.bench.profiling import profile_solver
 

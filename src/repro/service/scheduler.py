@@ -31,6 +31,7 @@ The hot path is a pipeline, not a critical section:
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.api import SOLVERS, solve
@@ -55,6 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover
 QueryLike = Sequence[tuple[int, int]] | RangeQuery | ArbitraryQuery
 
 __all__ = ["SchedulerService"]
+
+#: how many recent decisions ``SchedulerService.history`` keeps; older
+#: records fall off the front, so a long-running service's memory does
+#: not grow with the queries it serves (``stats()`` and the registry
+#: still count every query)
+HISTORY_MAXLEN = 1024
 
 #: batch-size histogram edges (queries per admitted batch)
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
@@ -116,7 +123,7 @@ class SchedulerService:
         self._failed: set[int] = set()
         self._last_arrival = 0.0
         self._stats = ServiceStats(per_disk_buckets=[0] * system.num_disks)
-        self.history: list[ServiceRecord] = []
+        self.history: deque[ServiceRecord] = deque(maxlen=HISTORY_MAXLEN)
 
         solver_cls = SOLVERS.get(config.solver)
         self._warmable = bool(

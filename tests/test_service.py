@@ -10,6 +10,7 @@ import pytest
 from repro.decluster import make_placement
 from repro.errors import InfeasibleScheduleError, StorageConfigError
 from repro.service import SchedulerService, ServiceConfig
+from repro.service.scheduler import HISTORY_MAXLEN
 from repro.storage import StorageSystem
 
 
@@ -84,6 +85,17 @@ class TestBasics:
         svc.submit([(1, 1)], arrival_ms=1.0)
         assert snap.queries == 1
         assert svc.stats().queries == 2
+
+    def test_history_keeps_only_the_most_recent_records(self):
+        cap, extra = HISTORY_MAXLEN, 5
+        svc = make_service(time_fn=FakeClock())
+        for i in range(cap + extra):
+            svc.submit([(0, 0)], arrival_ms=float(i))
+        assert len(svc.history) == cap
+        # the oldest `extra` records fell off the front, in order
+        arrivals = [rec.arrival_ms for rec in svc.history]
+        assert arrivals == [float(i) for i in range(extra, cap + extra)]
+        assert svc.stats().queries == cap + extra
 
 
 class TestFailures:

@@ -152,6 +152,31 @@ class TestDifferential:
             clock.t += 2.0
         assert svc.cache.hits > 0  # the differential exercised warm paths
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cache_on_matches_cache_off_twin(self, seed):
+        """Serial replay: a cached service answers exactly as a twin
+        built on the same deployment with ``cache_size=0``.
+
+        The stream repeats a small signature pool while the fake clock
+        advances 1 ms per submit, so loads evolve between submits and
+        every warm hit rebinds onto a different instance.
+        """
+        clocks = (FakeClock(), FakeClock())
+        warm, cold = (
+            SchedulerService(
+                *deployment(seed),
+                config=ServiceConfig(time_fn=clock, cache_size=size),
+            )
+            for clock, size in zip(clocks, (32, 0))
+        )
+        for coords in make_queries(seed, count=24, distinct=6):
+            a = warm.submit(coords)
+            b = cold.submit(coords)
+            assert a.response_time_ms == b.response_time_ms, coords
+            for clock in clocks:
+                clock.t += 1.0
+        assert warm.cache.hits > 0 and cold.cache is None
+
     def test_csr_solver_reuses_the_compiled_layout(self):
         """A cache hit under pr-csr keeps the compiled buffers warm.
 
