@@ -19,9 +19,8 @@ from repro.workloads.experiments import build_problem, build_system
 
 __all__ = ["ablation_engines", "ablation_conservation", "greedy_gap"]
 
-_ENGINES = ["ford-fulkerson", "edmonds-karp", "capacity-scaling", "dinic",
-            "mpm", "push-relabel", "csr-push-relabel", "highest-label",
-            "relabel-to-front"]
+_ENGINES = ["ford-fulkerson", "edmonds-karp", "dinic", "push-relabel",
+            "csr-push-relabel"]
 
 
 def _problems(N, n_queries, seed, *, load=1, qtype="arbitrary"):

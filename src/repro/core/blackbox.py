@@ -14,7 +14,7 @@ from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
 from repro.core.scaling import Prober, binary_scaling_solve
 from repro.core.schedule import RetrievalSchedule, SolverStats
-from repro.maxflow import get_engine
+from repro.maxflow import MaxFlowEngine, PushRelabelEngine, get_engine
 
 __all__ = ["BlackBoxProber", "BlackBoxBinarySolver"]
 
@@ -24,8 +24,8 @@ class BlackBoxProber(Prober):
 
     conserves_flow = False
 
-    def __init__(self, engine: str = "push-relabel", **engine_kwargs: object) -> None:
-        self.engine = get_engine(engine, **engine_kwargs)
+    def __init__(self, engine: MaxFlowEngine | None = None) -> None:
+        self.engine = engine if engine is not None else PushRelabelEngine()
         self._network: RetrievalNetwork | None = None
         self._pushes = 0
         self._relabels = 0
@@ -61,8 +61,9 @@ class BlackBoxBinarySolver:
     supports_warm_start = True
 
     def __init__(self, engine: str = "push-relabel", **engine_kwargs: object) -> None:
-        self.engine_name = engine
-        self.engine_kwargs = engine_kwargs
+        # resolved here so an unknown engine fails at construction, not
+        # at the first solve
+        self.engine = get_engine(engine, **engine_kwargs)
 
     def solve(
         self,
@@ -70,5 +71,5 @@ class BlackBoxBinarySolver:
         *,
         network: RetrievalNetwork | None = None,
     ) -> RetrievalSchedule:
-        prober = BlackBoxProber(self.engine_name, **self.engine_kwargs)
+        prober = BlackBoxProber(self.engine)
         return binary_scaling_solve(problem, prober, self.name, network=network)

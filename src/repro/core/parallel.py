@@ -11,11 +11,9 @@ multi-threaded push/relabel operations".
 The GIL caveat of the engine module applies: per-query value agreement
 with the sequential solver is exact; wall-clock parallel *speedup* is
 not expected under CPython (DESIGN.md §2).  For real multi-core scaling
-use :mod:`repro.fleet` — :func:`repro.fleet.partitioned_push_relabel`
-runs the same kernel across worker *processes* (escaping the GIL), and
 the service layer's ``solve_backend="process"`` routes whole solves to a
-:class:`repro.fleet.SolveFleet`; both are verified exact-``==`` against
-this module's sequential results.
+:class:`repro.fleet.SolveFleet` of worker *processes* (escaping the
+GIL), verified exact-``==`` against in-thread solves.
 """
 
 from __future__ import annotations

@@ -166,12 +166,16 @@ class SolveFleet:
             ) from exc
 
     def _rebuild_lane(self, lane: int, broken: ProcessPoolExecutor) -> None:
-        """Replace a lane's executor after its worker died (idempotent)."""
+        """Replace a lane's executor after its worker died (idempotent).
+
+        Only the call that swaps the executor counts the crash, so
+        callers that saw the same dead worker count it once.
+        """
         with self._lock:
-            self.crashes += 1
             if self._closed or self._lanes[lane] is not broken:
                 return  # another thread already swapped it
             self._lanes[lane] = self._new_lane()
+            self.crashes += 1
         broken.shutdown(wait=False)
 
     # ------------------------------------------------------------------

@@ -21,7 +21,6 @@ differential suite leans on for bit-for-bit ``SolverStats`` equality.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 from typing import Any
@@ -29,14 +28,11 @@ from typing import Any
 from repro.core.api import SOLVERS, solve
 from repro.core.network import RetrievalNetwork
 from repro.fleet.codec import decode_problem, encode_schedule
-from repro.graph.io import from_json, to_json
-from repro.maxflow.push_relabel import push_relabel
 from repro.obs.registry import MetricsRegistry
 from repro.service.cache import NetworkCache
 
 __all__ = [
     "worker_solve",
-    "worker_maxflow",
     "worker_pid",
     "worker_die",
 ]
@@ -100,28 +96,6 @@ def worker_solve(payload: dict[str, Any]) -> dict[str, Any]:
         "cache_hit": cache_hit,
         "pid": os.getpid(),
     }
-
-
-def worker_maxflow(payload_json: str) -> str:
-    """Solve one max-flow sub-instance shipped as graph-io JSON.
-
-    The partitioned push–relabel variant sends each worker a capacity
-    slice of the full retrieval network; the worker runs the sequential
-    integer engine and returns a JSON envelope holding the solved
-    network (flows included, same graph-io format) plus exact operation
-    counts for the coordinator to aggregate.
-    """
-    g, s, t = from_json(payload_json)
-    result = push_relabel(g, s, t)
-    return json.dumps(
-        {
-            "network": to_json(g, s, t),
-            "value": result.value,
-            "pushes": result.pushes,
-            "relabels": result.relabels,
-        },
-        separators=(",", ":"),
-    )
 
 
 def worker_pid() -> int:

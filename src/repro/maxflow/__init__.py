@@ -9,7 +9,7 @@ in §II-B:
 * :mod:`repro.maxflow.edmonds_karp` — BFS shortest augmenting paths;
   ablation baseline.
 * :mod:`repro.maxflow.dinic` — blocking flows (Dinic [22]); ablation
-  baseline.
+  baseline and the independent oracle of the differential fuzz.
 * :mod:`repro.maxflow.push_relabel` — FIFO push–relabel with exact-height
   (global relabeling) and gap heuristics (Goldberg & Tarjan [29],
   Cherkassky & Goldberg [19]); the engine inside Algorithms 4–6.
@@ -25,7 +25,6 @@ flow), which is the property the paper's "integrated" algorithms exploit.
 """
 
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
-from repro.maxflow.capacity_scaling import CapacityScalingEngine, capacity_scaling_ff
 from repro.maxflow.csr_push_relabel import (
     CsrPushRelabelEngine,
     CsrPushRelabelState,
@@ -38,9 +37,6 @@ from repro.maxflow.ford_fulkerson import (
     augment_unit_from,
     ford_fulkerson,
 )
-from repro.maxflow.highest_label import HighestLabelEngine, highest_label
-from repro.maxflow.mpm import MpmEngine, mpm
-from repro.maxflow.relabel_to_front import RelabelToFrontEngine, relabel_to_front
 from repro.maxflow.parallel_push_relabel import (
     ParallelPushRelabelEngine,
     ParallelStats,
@@ -55,13 +51,9 @@ from repro.maxflow.push_relabel import (
 ENGINES = {
     "ford-fulkerson": FordFulkersonEngine,
     "edmonds-karp": EdmondsKarpEngine,
-    "capacity-scaling": CapacityScalingEngine,
     "dinic": DinicEngine,
-    "mpm": MpmEngine,
     "push-relabel": PushRelabelEngine,
     "csr-push-relabel": CsrPushRelabelEngine,
-    "highest-label": HighestLabelEngine,
-    "relabel-to-front": RelabelToFrontEngine,
     "parallel-push-relabel": ParallelPushRelabelEngine,
 }
 
@@ -87,16 +79,8 @@ __all__ = [
     "augment_unit_from",
     "EdmondsKarpEngine",
     "edmonds_karp",
-    "CapacityScalingEngine",
-    "capacity_scaling_ff",
     "DinicEngine",
     "dinic",
-    "MpmEngine",
-    "mpm",
-    "HighestLabelEngine",
-    "highest_label",
-    "RelabelToFrontEngine",
-    "relabel_to_front",
     "PushRelabelEngine",
     "PushRelabelState",
     "push_relabel",

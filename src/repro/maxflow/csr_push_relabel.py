@@ -14,10 +14,8 @@ selection rules:
   suite), which makes the list engine a differential oracle for the
   layout itself.
 * ``selection="highest"`` — highest-label buckets: active vertices live
-  in per-height stacks and the highest is discharged first.  Unlike
-  :mod:`repro.maxflow.highest_label` (zero heights, no gap — the
-  measured 16x-slower ablation baseline), this variant keeps the
-  exact-height BFS initialization *and* the gap heuristic.  It does cut
+  in per-height stacks and the highest is discharged first.  It keeps
+  the exact-height BFS initialization *and* the gap heuristic.  It does cut
   relabels ~11% on the generalized probe workload, but the per-push
   bucket bookkeeping costs more than the saved relabels on these
   shallow 4-layer networks (measured: ~10% slower than FIFO), so FIFO

@@ -34,7 +34,7 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.api import SOLVERS, solve
+from repro.core.api import get_solver, solve
 from repro.core.batch import BatchSchedule, merge_problems
 from repro.core.degraded import degrade_problem
 from repro.core.network import RetrievalNetwork
@@ -125,10 +125,10 @@ class SchedulerService:
         self._stats = ServiceStats(per_disk_buckets=[0] * system.num_disks)
         self.history: deque[ServiceRecord] = deque(maxlen=HISTORY_MAXLEN)
 
-        solver_cls = SOLVERS.get(config.solver)
-        self._warmable = bool(
-            getattr(solver_cls, "supports_warm_start", False)
-        )
+        # instantiated once so an unknown solver or engine fails here,
+        # not as an error on every submit
+        solver = get_solver(config.solver, **config.solver_kwargs)
+        self._warmable = bool(getattr(solver, "supports_warm_start", False))
 
         # solve backend: "thread" solves in the calling thread;
         # "process" routes every solve into a SolveFleet worker (the GIL

@@ -18,6 +18,7 @@ from repro.core import (
     solve,
 )
 from repro.errors import InfeasibleScheduleError
+from repro.maxflow import ENGINES
 from repro.storage import StorageSystem
 
 GENERALIZED = [
@@ -165,6 +166,18 @@ class TestStatsAndApi:
     def test_unknown_solver_rejected(self):
         with pytest.raises(KeyError, match="unknown solver"):
             get_solver("simplex")
+
+    def test_unknown_blackbox_engine_rejected_at_construction(self):
+        with pytest.raises(KeyError, match="unknown engine 'simplex'"):
+            get_solver("blackbox-binary", engine="simplex")
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_blackbox_engine_finds_the_integrated_optimum(self, engine):
+        rng = np.random.default_rng(0)
+        for p in (random_basic(rng), random_generalized(rng)):
+            ref = solve(p, solver="pr-binary").response_time_ms
+            got = solve(p, solver="blackbox-binary", engine=engine)
+            assert got.response_time_ms == ref
 
     def test_registry_complete(self):
         assert set(SOLVERS) == {

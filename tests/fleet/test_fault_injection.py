@@ -65,11 +65,22 @@ class TestFleetCrash:
             with pytest.raises(WorkerCrashedError) as exc_info:
                 fleet.solve(problem)
             assert exc_info.value.lane == 0
-            assert fleet.crashes >= 1
+            assert fleet.crashes == 1
             # rebuilt lane: the same solve now succeeds, same answer
             retry, _ = fleet.solve(problem)
             assert retry.response_time_ms == schedule.response_time_ms
             assert retry.assignment == schedule.assignment
+
+    def test_rebuild_counts_one_crash_per_dead_worker(self):
+        """Two callers that saw the same dead worker count one crash."""
+        with SolveFleet(1, cache_size=0) as fleet:
+            kill_worker(fleet, 0)
+            broken = fleet._lanes[0]
+            before = fleet.crashes
+            fleet._rebuild_lane(0, broken)
+            fleet._rebuild_lane(0, broken)
+            assert fleet.crashes == before + 1
+            assert fleet._lanes[0] is not broken
 
     def test_crash_error_is_not_a_repro_error(self):
         """WorkerCrashedError must not be swallowed by ReproError handlers.

@@ -7,29 +7,21 @@ import pytest
 from repro.graph import FlowNetwork, assert_valid_flow, flow_value, min_cut_reachable
 from repro.maxflow import (
     ENGINES,
-    CapacityScalingEngine,
     DinicEngine,
     EdmondsKarpEngine,
     FordFulkersonEngine,
-    HighestLabelEngine,
-    MpmEngine,
     ParallelPushRelabelEngine,
     PushRelabelEngine,
-    RelabelToFrontEngine,
     get_engine,
 )
 
 ALL_ENGINES = [
     FordFulkersonEngine(),
     EdmondsKarpEngine(),
-    CapacityScalingEngine(),
     DinicEngine(),
-    MpmEngine(),
     PushRelabelEngine(),
     PushRelabelEngine(initial_heights="zero"),
     PushRelabelEngine(gap_heuristic=False, global_relabel_interval=0),
-    HighestLabelEngine(),
-    RelabelToFrontEngine(),
     ParallelPushRelabelEngine(num_threads=1),
     ParallelPushRelabelEngine(num_threads=2),
 ]
@@ -37,20 +29,16 @@ ALL_ENGINES = [
 IDS = [
     "ff",
     "ek",
-    "capscale",
     "dinic",
-    "mpm",
     "pr-exact",
     "pr-zero",
     "pr-plain",
-    "hl",
-    "rtf",
     "par-1t",
     "par-2t",
 ]
 
 
-def classic_example() -> tuple[FlowNetwork, int, int, float]:
+def classic_example() -> tuple[FlowNetwork, int, int, int]:
     """CLRS figure network with known max flow 23."""
     g = FlowNetwork(6)
     for u, v, c in [
@@ -66,7 +54,7 @@ def classic_example() -> tuple[FlowNetwork, int, int, float]:
         (4, 5, 4),
     ]:
         g.add_arc(u, v, c)
-    return g, 0, 5, 23.0
+    return g, 0, 5, 23
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES, ids=IDS)
@@ -74,51 +62,52 @@ class TestEngineBasics:
     def test_classic_clrs_network(self, engine):
         g, s, t, expect = classic_example()
         r = engine.solve(g, s, t)
-        assert r.value == pytest.approx(expect)
+        assert r.value == expect
+        assert type(r.value) is int
         assert_valid_flow(g, s, t)
 
     def test_single_arc(self, engine):
         g = FlowNetwork(2)
         g.add_arc(0, 1, 7)
-        assert engine.solve(g, 0, 1).value == pytest.approx(7)
+        assert engine.solve(g, 0, 1).value == 7
 
     def test_disconnected_sink(self, engine):
         g = FlowNetwork(3)
         g.add_arc(0, 1, 5)
-        assert engine.solve(g, 0, 2).value == pytest.approx(0)
+        assert engine.solve(g, 0, 2).value == 0
 
     def test_zero_capacity_arcs(self, engine):
         g = FlowNetwork(3)
         g.add_arc(0, 1, 0)
         g.add_arc(1, 2, 4)
-        assert engine.solve(g, 0, 2).value == pytest.approx(0)
+        assert engine.solve(g, 0, 2).value == 0
 
     def test_chain_bottleneck(self, engine):
         g = FlowNetwork(5)
         caps = [9, 3, 8, 6]
         for i, c in enumerate(caps):
             g.add_arc(i, i + 1, c)
-        assert engine.solve(g, 0, 4).value == pytest.approx(min(caps))
+        assert engine.solve(g, 0, 4).value == min(caps)
 
     def test_parallel_arcs_accumulate(self, engine):
         g = FlowNetwork(2)
         g.add_arc(0, 1, 3)
         g.add_arc(0, 1, 4)
-        assert engine.solve(g, 0, 1).value == pytest.approx(7)
+        assert engine.solve(g, 0, 1).value == 7
 
     def test_antiparallel_arcs(self, engine):
         g = FlowNetwork(3)
         g.add_arc(0, 1, 5)
         g.add_arc(1, 0, 5)
         g.add_arc(1, 2, 3)
-        assert engine.solve(g, 0, 2).value == pytest.approx(3)
+        assert engine.solve(g, 0, 2).value == 3
 
     def test_resolve_flags_black_box_restart(self, engine):
         """Re-solving without warm_start zeroes the flow and re-finds it."""
         g, s, t, expect = classic_example()
         engine.solve(g, s, t)
         r = engine.solve(g, s, t)
-        assert r.value == pytest.approx(expect)
+        assert r.value == expect
         assert_valid_flow(g, s, t)
 
     def test_warm_start_preserves_value(self, engine):
@@ -127,8 +116,8 @@ class TestEngineBasics:
         engine.solve(g, s, t)
         saved = g.save_flow()
         r = engine.solve(g, s, t, warm_start=True)
-        assert r.value == pytest.approx(expect)
-        assert g.save_flow() == saved or flow_value(g, s, t) == pytest.approx(expect)
+        assert r.value == expect
+        assert g.save_flow() == saved or flow_value(g, s, t) == expect
 
     def test_warm_start_after_capacity_increase(self, engine):
         """The integrated pattern: raise capacities, keep flow, re-solve."""
@@ -136,11 +125,11 @@ class TestEngineBasics:
         a1 = g.add_arc(0, 1, 2)
         g.add_arc(1, 2, 10)
         a3 = g.add_arc(2, 3, 2)
-        assert engine.solve(g, 0, 3).value == pytest.approx(2)
+        assert engine.solve(g, 0, 3).value == 2
         g.set_capacity(a1, 5)
         g.set_capacity(a3, 5)
         r = engine.solve(g, 0, 3, warm_start=True)
-        assert r.value == pytest.approx(5)
+        assert r.value == 5
         assert_valid_flow(g, 0, 3)
 
     def test_min_cut_certificate(self, engine):
@@ -150,7 +139,7 @@ class TestEngineBasics:
         cut_cap = sum(
             a.cap for a in g.arcs() if a.tail in reach and a.head not in reach
         )
-        assert cut_cap == pytest.approx(r.value)
+        assert cut_cap == r.value
 
 
 class TestRegistry:
@@ -162,21 +151,17 @@ class TestRegistry:
         # the CLI, bench configs and docs refer to engines by these
         # strings — renaming one is a breaking change
         assert sorted(ENGINES) == [
-            "capacity-scaling",
             "csr-push-relabel",
             "dinic",
             "edmonds-karp",
             "ford-fulkerson",
-            "highest-label",
-            "mpm",
             "parallel-push-relabel",
             "push-relabel",
-            "relabel-to-front",
         ]
         for name in ("ford-fulkerson", "edmonds-karp", "push-relabel",
                      "csr-push-relabel"):
             g, s, t, best = classic_example()
-            assert get_engine(name).solve(g, s, t).value == pytest.approx(best)
+            assert get_engine(name).solve(g, s, t).value == best
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown engine"):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.graph import FlowNetwork, assert_valid_flow
 from repro.maxflow.push_relabel import PushRelabelState, push_relabel
 
@@ -32,7 +30,7 @@ class TestGapHeuristic:
                                  global_relabel_interval=0)
         state.initialize(preserve_flow=False)
         value = state.run()
-        assert value == pytest.approx(4)
+        assert value == 4
         assert_valid_flow(g, s, t)
         # the dead-end cluster must have been lifted via the gap heuristic
         # or plain relabels; either way gap bookkeeping stayed consistent
@@ -93,7 +91,7 @@ class TestGlobalRelabelUnit:
                                  global_relabel_interval=1)
         state.initialize()
         value = state.run()
-        assert value == pytest.approx(4)
+        assert value == 4
         assert state.global_relabels >= 1
 
     def test_exact_init_counts_one_global_relabel(self):

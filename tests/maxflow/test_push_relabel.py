@@ -72,12 +72,12 @@ class TestWarmStartSemantics:
         a = g.add_arc(2, 3, 1)
         state = PushRelabelState(g, 0, 3)
         state.initialize(preserve_flow=True)
-        assert state.run() == pytest.approx(1)
+        assert state.run() == 1
         pushes_first = state.pushes
         for target in (2, 3, 4):
             g.set_capacity(a, target)
             state.initialize(preserve_flow=True)
-            assert state.run() == pytest.approx(target)
+            assert state.run() == target
             assert_valid_flow(g, 0, 3)
         # conservation means later runs only add the delta, so total work
         # stays close to a single full solve, not 4x it
@@ -90,7 +90,7 @@ class TestWarmStartSemantics:
         state.run()
         state.initialize(preserve_flow=False)
         assert all(f == 0.0 or True for f in g.flow)  # flow re-seeded from s
-        assert state.run() == pytest.approx(push_relabel(g, s, t).value)
+        assert state.run() == push_relabel(g, s, t).value
 
     def test_shrinking_source_capacity_detected(self):
         g = FlowNetwork(3)
@@ -109,11 +109,11 @@ class TestWarmStartSemantics:
         a = g.add_arc(1, 2, 2)
         state = PushRelabelState(g, 0, 2)
         state.initialize()
-        assert state.run() == pytest.approx(2)
+        assert state.run() == 2
         g.set_capacity(a, 3)
         state.initialize(preserve_flow=True)
-        assert state.excess[2] == pytest.approx(2)  # previous delivery seen
-        assert state.run() == pytest.approx(3)
+        assert state.excess[2] == 2  # previous delivery seen
+        assert state.run() == 3
 
 
 class TestResultPackaging:

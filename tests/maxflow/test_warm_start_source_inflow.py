@@ -18,18 +18,11 @@ import networkx as nx
 import pytest
 
 from repro.graph import FlowNetwork, assert_valid_flow, to_networkx
-from repro.maxflow import (
-    highest_label,
-    parallel_push_relabel,
-    push_relabel,
-    relabel_to_front,
-)
+from repro.maxflow import parallel_push_relabel, push_relabel
 
 ENGINES = [
     ("fifo", push_relabel, {}),
     ("fifo-zero", push_relabel, {"initial_heights": "zero"}),
-    ("highest-label", highest_label, {}),
-    ("relabel-to-front", relabel_to_front, {}),
     ("parallel", parallel_push_relabel, {"num_threads": 2}),
 ]
 
@@ -64,20 +57,20 @@ class TestSourceInflowWarmStart:
     def test_cycle_through_source(self, name, fn, kw):
         g, s, t = cycle_through_source()
         cold = fn(g, s, t, **kw)
-        assert cold.value == pytest.approx(2)
+        assert cold.value == 2
         # widen everything; warm start must find the new optimum
         for arc in list(g.arcs()):
             g.set_capacity(arc.index, arc.cap + 3)
         expect = nx.maximum_flow_value(to_networkx(g), s, t)
         warm = fn(g, s, t, warm_start=True, **kw)
-        assert warm.value == pytest.approx(expect)
+        assert warm.value == expect
         assert_valid_flow(g, s, t)
 
     def test_seeded_inflow(self, name, fn, kw):
         g, s, t = seeded_inflow()
         expect = nx.maximum_flow_value(to_networkx(g), s, t)
         warm = fn(g, s, t, warm_start=True, **kw)
-        assert warm.value == pytest.approx(expect)
+        assert warm.value == expect
         assert_valid_flow(g, s, t)
 
     def test_inbound_source_flow_cancelled(self, name, fn, kw):
@@ -86,4 +79,4 @@ class TestSourceInflowWarmStart:
         # the arc into s must carry no flow in the terminal state
         for arc in g.arcs():
             if arc.head == s:
-                assert arc.flow == pytest.approx(0.0)
+                assert arc.flow == 0

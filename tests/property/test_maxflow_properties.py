@@ -22,14 +22,11 @@ from repro.graph import (
     to_networkx,
 )
 from repro.maxflow import (
-    capacity_scaling_ff,
     dinic,
     edmonds_karp,
     ford_fulkerson,
-    highest_label,
     parallel_push_relabel,
     push_relabel,
-    relabel_to_front,
 )
 
 arc_strategy = st.tuples(
@@ -46,7 +43,7 @@ def build(arcs) -> tuple[FlowNetwork, int, int]:
     return g, 0, 9
 
 
-def reference_value(g: FlowNetwork, s: int, t: int) -> float:
+def reference_value(g: FlowNetwork, s: int, t: int) -> int:
     return nx.maximum_flow_value(to_networkx(g), s, t)
 
 
@@ -55,7 +52,7 @@ def reference_value(g: FlowNetwork, s: int, t: int) -> float:
 def test_ford_fulkerson_matches_networkx(arcs):
     g, s, t = build(arcs)
     expect = reference_value(g, s, t)
-    assert abs(ford_fulkerson(g, s, t).value - expect) < 1e-6
+    assert ford_fulkerson(g, s, t).value == expect
     assert_valid_flow(g, s, t)
 
 
@@ -64,7 +61,7 @@ def test_ford_fulkerson_matches_networkx(arcs):
 def test_edmonds_karp_matches_networkx(arcs):
     g, s, t = build(arcs)
     expect = reference_value(g, s, t)
-    assert abs(edmonds_karp(g, s, t).value - expect) < 1e-6
+    assert edmonds_karp(g, s, t).value == expect
     assert_valid_flow(g, s, t)
 
 
@@ -73,7 +70,7 @@ def test_edmonds_karp_matches_networkx(arcs):
 def test_dinic_matches_networkx(arcs):
     g, s, t = build(arcs)
     expect = reference_value(g, s, t)
-    assert abs(dinic(g, s, t).value - expect) < 1e-6
+    assert dinic(g, s, t).value == expect
     assert_valid_flow(g, s, t)
 
 
@@ -83,7 +80,7 @@ def test_push_relabel_matches_networkx(arcs, heights):
     g, s, t = build(arcs)
     expect = reference_value(g, s, t)
     r = push_relabel(g, s, t, initial_heights=heights)
-    assert abs(r.value - expect) < 1e-6
+    assert r.value == expect
     assert_valid_flow(g, s, t)
 
 
@@ -93,34 +90,7 @@ def test_parallel_push_relabel_matches_networkx(arcs):
     g, s, t = build(arcs)
     expect = reference_value(g, s, t)
     r = parallel_push_relabel(g, s, t, num_threads=2)
-    assert abs(r.value - expect) < 1e-6
-    assert_valid_flow(g, s, t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(network_strategy)
-def test_highest_label_matches_networkx(arcs):
-    g, s, t = build(arcs)
-    expect = reference_value(g, s, t)
-    assert abs(highest_label(g, s, t).value - expect) < 1e-6
-    assert_valid_flow(g, s, t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(network_strategy)
-def test_relabel_to_front_matches_networkx(arcs):
-    g, s, t = build(arcs)
-    expect = reference_value(g, s, t)
-    assert abs(relabel_to_front(g, s, t).value - expect) < 1e-6
-    assert_valid_flow(g, s, t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(network_strategy)
-def test_capacity_scaling_matches_networkx(arcs):
-    g, s, t = build(arcs)
-    expect = reference_value(g, s, t)
-    assert abs(capacity_scaling_ff(g, s, t).value - expect) < 1e-6
+    assert r.value == expect
     assert_valid_flow(g, s, t)
 
 
@@ -135,7 +105,7 @@ def test_min_cut_duality(arcs):
         cut = sum(
             a.cap for a in g.arcs() if a.tail in reach and a.head not in reach
         )
-        assert abs(cut - value) < 1e-6
+        assert cut == value
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,8 +117,8 @@ def test_capacity_increase_is_monotone_with_warm_start(arcs, bump):
     for arc in list(g.arcs()):
         g.set_capacity(arc.index, arc.cap + bump)
     v2 = push_relabel(g, s, t, warm_start=True).value
-    assert v2 >= v1 - 1e-9
-    assert abs(v2 - reference_value(g, s, t)) < 1e-6
+    assert v2 >= v1
+    assert v2 == reference_value(g, s, t)
     assert_valid_flow(g, s, t)
 
 
@@ -159,6 +129,6 @@ def test_flow_decomposition_bound(arcs):
     g, s, t = build(arcs)
     value = push_relabel(g, s, t).value
     for a in g.arcs():
-        assert a.flow <= a.cap + 1e-9
-        assert a.flow >= -1e-9  # forward arcs never carry negative flow
+        assert a.flow <= a.cap
+        assert a.flow >= 0  # forward arcs never carry negative flow
     assert value >= 0

@@ -57,6 +57,21 @@ class TestConfigValue:
         rec = svc.submit([(0, 0)])
         assert rec.response_time_ms > 0
 
+    def test_unknown_solver_or_engine_rejected_at_construction(self):
+        system, placement = deployment()
+        for cfg, match in (
+            (ServiceConfig(solver="nope"), "unknown solver 'nope'"),
+            (
+                ServiceConfig(
+                    solver="blackbox-binary",
+                    solver_kwargs={"engine": "simplex"},
+                ),
+                "unknown engine 'simplex'",
+            ),
+        ):
+            with pytest.raises(KeyError, match=match):
+                SchedulerService(system, placement, config=cfg)
+
 
 class TestLegacyShim:
     """The pre-config keywords are gone: ``config=`` is the only spelling."""
