@@ -34,6 +34,7 @@ from typing import Any, Callable, Mapping
 
 import multiprocessing
 
+from repro.core.api import get_solver
 from repro.core.problem import RetrievalProblem
 from repro.core.schedule import RetrievalSchedule
 from repro.fleet.codec import decode_schedule, encode_problem
@@ -114,6 +115,9 @@ class SolveFleet:
         self.num_workers = num_workers
         self.solver = solver
         self.solver_kwargs = dict(solver_kwargs or {})
+        # instantiated once in the parent so an unknown solver or engine
+        # fails here, before any lane starts, not inside every solve
+        get_solver(solver, **self.solver_kwargs)
         self.cache_size = cache_size
         self._ctx = mp_context if mp_context is not None else default_mp_context()
         self._lock = threading.Lock()

@@ -12,11 +12,13 @@ or "spawn").  Worker-side state is process-global by design:
     per-worker warm-cache affinity that keeps the service-layer hit rate
     intact across the process boundary.
 
-The solve path mirrors ``SchedulerService._solve_locked`` exactly: cold
-signature → fresh network; warm signature → rebind + restore conserved
-flow; then one registry solve.  With ``cache_size=0`` the worker is a
-pure function of its payload, which is what the cross-process
-differential suite leans on for bit-for-bit ``SolverStats`` equality.
+The solve path is ``SchedulerService._solve_locked``'s: one
+:meth:`~repro.service.cache.NetworkCache.checkout` (warm signature →
+rebind + restore conserved flow; cold signature → fresh network), one
+registry solve, one ``put`` of the final flow.  With ``cache_size=0``
+the worker is a pure function of its payload, which is what the
+cross-process differential suite leans on for bit-for-bit
+``SolverStats`` equality.
 """
 
 from __future__ import annotations
@@ -75,22 +77,14 @@ def worker_solve(payload: dict[str, Any]) -> dict[str, Any]:
     if cache is None:
         schedule = solve(problem, solver=solver, **solver_kwargs)
     else:
-        signature = problem.replicas
-        entry = cache.get(signature)
-        if entry is not None:
-            network = entry.network
-            network.rebind(problem)
-            if entry.flow is not None:
-                network.graph.restore_flow(entry.flow)
-            else:
-                network.graph.reset_flow()
-            cache_hit = True
-        else:
+        network = cache.checkout(problem)
+        cache_hit = network is not None
+        if network is None:
             network = RetrievalNetwork(problem)
         schedule = solve(
             problem, solver=solver, network=network, **solver_kwargs
         )
-        cache.put(signature, network, network.graph.save_flow())
+        cache.put(problem.replicas, network, network.graph.save_flow())
     return {
         "schedule": encode_schedule(schedule),
         "cache_hit": cache_hit,

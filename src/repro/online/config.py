@@ -38,11 +38,13 @@ class OnlineConfig:
         Added to the computed backoff hint carried by the shed error
         (how long until the bound could fall below the target).
     repair:
-        Enable decremental flow repair: when a transfer drains, release
-        its units from the warm cached network and shrink the sink
-        capacity back (:meth:`~repro.core.network.RetrievalNetwork.
-        release_flow` / ``decrement_sink_cap``).  Only effective with a
-        service-side cache (thread backend, ``cache_size > 0``).
+        Enable decremental flow repair: when a transfer drains, its
+        units are recorded against the warm cached network's entry in
+        O(1), and the entry's next checkout releases them from the
+        flow and shrinks the sink capacity back
+        (:meth:`~repro.core.network.RetrievalNetwork.release_flow` /
+        ``decrement_sink_cap``).  Only effective with a service-side
+        cache (thread backend, ``cache_size > 0``).
     replan_solver:
         Registry solver used to re-plan in-flight work after
         ``mark_failed`` / ``mark_repaired`` (default: the incremental

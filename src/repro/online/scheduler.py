@@ -7,10 +7,13 @@ busy horizon cannot express:
 * **Departures.**  Every admitted query schedules one
   :class:`~repro.online.events.DrainEvent` per disk it touches; when the
   clock passes a drain, the transfer's units are *released* from the
-  warm cached network (:meth:`~repro.core.network.RetrievalNetwork.
-  release_flow` + ``decrement_sink_cap``) — the paper's flow
-  conservation (Algorithms 2/5 conserve flow across deadline probes)
-  extended across *time* instead of rebuilding per solve.
+  warm cached network — the paper's flow conservation (Algorithms 2/5
+  conserve flow across deadline probes) extended across *time* instead
+  of rebuilding per solve.  A drain costs O(1): it only records the
+  units against the cache entry (:meth:`~repro.service.cache.
+  NetworkCache.release`); the entry's next checkout applies every
+  pending release at once (``release_flow`` + ``decrement_sink_cap``),
+  and an entry evicted first never pays for it.
 * **Failure / repair re-planning.**  ``mark_failed`` re-plans the
   not-yet-drained buckets of every in-flight query via the incremental
   engine; ``mark_repaired`` re-plans only when the repaired disk
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.api import solve
+from repro.core.api import get_solver, solve
 from repro.core.degraded import degrade_problem
 from repro.core.problem import RetrievalProblem
 from repro.decluster.multisite import MultiSitePlacement
@@ -103,8 +106,11 @@ class OnlineScheduler(SchedulerService):
                 "OnlineScheduler requires config.mode == 'online' "
                 f"(got {config.mode!r})"
             )
+        cfg = config.resolved_online()
+        # instantiated once so an unknown re-plan solver fails here, not
+        # at the first mark_failed (and before any fleet worker starts)
+        get_solver(cfg.replan_solver)
         super().__init__(system, placement, config)
-        cfg = self.config.resolved_online()
         self._online_cfg = cfg
         self._wall = cfg.clock == "wall"
         self._clock_ms = self._now() if self._wall else 0.0
@@ -221,19 +227,13 @@ class OnlineScheduler(SchedulerService):
         flight.response_floor_ms = max(flight.response_floor_ms, contribution)
 
         if self._online_cfg.repair and self._cache is not None:
-            entry = self._cache.peek(flight.signature)
-            if entry is not None and entry.flow is not None:
-                network = entry.network
-                network.graph.restore_flow(entry.flow)
-                released = network.release_flow(ev.disk, ev.units)
-                if released:
-                    # cap - released >= flow - released: always legal
-                    network.decrement_sink_cap(ev.disk, released)
-                    entry.flow = network.graph.save_flow()
-                    self._online_stats.released_units += released
-                    self._online_stats.repairs += 1
-                    self._m_released.inc(released)
-                    self._m_repairs.inc()
+            # O(1): the flow surgery waits for the entry's next checkout
+            released = self._cache.release(flight.signature, ev.disk, ev.units)
+            if released:
+                self._online_stats.released_units += released
+                self._online_stats.repairs += 1
+                self._m_released.inc(released)
+                self._m_repairs.inc()
 
         if not flight.pending:
             del self._inflight[ev.query_id]

@@ -320,23 +320,14 @@ class SchedulerService:
             return self._fleet.solve(problem)
         if self._cache is None:
             return solve(problem, solver=self.solver, **self.solver_kwargs), False
-        signature = problem.replicas
-        entry = self._cache.get(signature)
-        if entry is not None:
-            network = entry.network
-            network.rebind(problem)
-            if entry.flow is not None:
-                network.graph.restore_flow(entry.flow)
-            else:
-                network.graph.reset_flow()
-            cache_hit = True
-        else:
+        network = self._cache.checkout(problem)
+        cache_hit = network is not None
+        if network is None:
             network = RetrievalNetwork(problem)
-            cache_hit = False
         schedule = solve(
             problem, solver=self.solver, network=network, **self.solver_kwargs
         )
-        self._cache.put(signature, network, network.graph.save_flow())
+        self._cache.put(problem.replicas, network, network.graph.save_flow())
         return schedule, cache_hit
 
     def _advance_horizons_locked(self, now: float, loads: list, counts: list) -> None:

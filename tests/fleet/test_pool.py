@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ class TestLanes:
             SolveFleet(0)
         with pytest.raises(ValueError, match="cache_size"):
             SolveFleet(1, cache_size=-1, warmup=False)
+
+    def test_unknown_solver_rejected_before_any_lane_starts(self):
+        children = set(multiprocessing.active_children())
+        with pytest.raises(KeyError, match="unknown solver 'nope'"):
+            SolveFleet(1, solver="nope")
+        with pytest.raises(KeyError, match="simplex"):
+            SolveFleet(
+                1, solver="blackbox-binary", solver_kwargs={"engine": "simplex"}
+            )
+        assert set(multiprocessing.active_children()) == children
 
     def test_lane_routing_is_stable_and_in_range(self, fleet):
         for seed in range(10):

@@ -10,9 +10,9 @@ optimal value differently, which is exactly the tie-break freedom the
 paper's certificate allows — the value is still demanded exact).
 
 Decremental repair must also never leave a cached network in a state
-``restore_flow``/the invariant sanitizer reject: the sanitizer is armed
-for the whole module, and every surviving cache entry is explicitly
-restored and re-checked after the drain.
+the invariant sanitizer rejects: the sanitizer is armed for the whole
+module, and every surviving cache entry is checked out (its pending
+releases applied) and re-checked after the drain.
 """
 
 from __future__ import annotations
@@ -64,16 +64,17 @@ def make_trace(seed, n_queries=6):
 
 
 def check_cache_integrity(svc):
-    """Every surviving warm network must round-trip restore_flow under
-    the armed sanitizer — repair left no poisoned entries behind."""
+    """Every surviving warm network, in its checked-out state (pending
+    releases applied), must be a valid flow under the armed sanitizer —
+    repair left no poisoned entries behind."""
     cache = svc._cache
     if cache is None:
         return
     for entry in cache._entries.values():
         if entry.flow is None:
             continue
-        net = entry.network
-        net.graph.restore_flow(entry.flow)
+        net = entry.restore()
+        assert not entry.pending
         invariants.check_valid_flow(
             net.graph, net.source, net.sink, "post-drain cache entry"
         )

@@ -10,6 +10,8 @@ identically).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,14 @@ class TestDispatchAndConfig:
     def test_unknown_clock_rejected(self):
         with pytest.raises(ValueError, match="clock"):
             OnlineConfig(clock="sundial")
+
+    def test_unknown_replan_solver_rejected_at_construction(self, backend):
+        """Fails before any submit (and before a fleet worker starts),
+        not at the first mark_failed that re-plans."""
+        children = set(multiprocessing.active_children())
+        with pytest.raises(KeyError, match="unknown solver 'nope'"):
+            make_online(replan_solver="nope")
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestLifecycle:

@@ -195,7 +195,7 @@ class TestDifferential:
         coords = [(0, 0), (1, 1), (2, 2)]
         rec1 = svc.submit(coords)
         problem = RetrievalProblem.from_query(svc.system, svc.placement, coords)
-        entry = svc.cache.peek(problem.replicas)
+        entry = svc.cache._entries.get(problem.replicas)
         assert entry is not None
         compiled = entry.network.graph._compiled
         assert compiled is not None
@@ -203,7 +203,7 @@ class TestDifferential:
 
         clock.t += 2.0
         rec2 = svc.submit(coords)
-        entry2 = svc.cache.peek(problem.replicas)
+        entry2 = svc.cache._entries.get(problem.replicas)
         assert entry2.network.graph._compiled is compiled
         assert svc.cache.hits >= 1
         # and the warm path stayed transparent: both answers optimal
