@@ -1,16 +1,14 @@
 """One front door for every deployment shape.
 
-Four entry styles accreted across the project's growth: the one-shot
+Three entry styles accreted across the project's growth: the one-shot
 :func:`repro.core.api.solve`, the stateful
-:class:`~repro.service.SchedulerService`, the partitioned
-:class:`~repro.service.ShardedSchedulerService`, and the
-:mod:`repro.net` RPC clients — each with its own construction and
-submit spelling.  This module collapses them behind a single builder::
+:class:`~repro.service.SchedulerService`, and the :mod:`repro.net` RPC
+clients — each with its own construction and submit spelling.  This
+module collapses them behind a single builder::
 
     from repro import api
 
     sched = api.Scheduler(config).local(system, placement)
-    sched = api.Scheduler(config).sharded([(sys0, p0), (sys1, p1)])
     sched = api.Scheduler(config).serve(system, placement, port=0)
     sched = api.Scheduler.connect(host, port)
 
@@ -36,7 +34,6 @@ from repro.core.api import solve
 from repro.decluster.multisite import MultiSitePlacement
 from repro.service.config import ServiceConfig
 from repro.service.scheduler import QueryLike, SchedulerService
-from repro.service.sharded import ShardedSchedulerService
 from repro.service.stats import ServiceRecord, ServiceStats
 from repro.storage.system import StorageSystem
 
@@ -48,16 +45,13 @@ __all__ = [
     "solve",
 ]
 
-#: a deployment: hardware plus the replicated allocation it hosts
-Deployment = tuple[StorageSystem, MultiSitePlacement]
-
 
 class Scheduler:
     """Builder for scheduler handles; holds the policy, not the state.
 
     ``Scheduler(config)`` is cheap and reusable — each ``.local()`` /
-    ``.sharded()`` / ``.serve()`` call constructs an independent
-    deployment from the same policy.
+    ``.serve()`` call constructs an independent deployment from the
+    same policy.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
@@ -72,14 +66,6 @@ class Scheduler:
             SchedulerService(system, placement, self.config)
         )
 
-    def sharded(
-        self, deployments: Sequence[Deployment | SchedulerService]
-    ) -> "LocalScheduler":
-        """An in-process sharded scheduler, one shard per deployment."""
-        return LocalScheduler(
-            ShardedSchedulerService(list(deployments), self.config)
-        )
-
     def serve(
         self,
         system: StorageSystem,
@@ -87,25 +73,16 @@ class Scheduler:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: Sequence[Deployment] | None = None,
         server_config: Any = None,
     ) -> "ServedScheduler":
         """Serve a deployment over TCP and hand back a connected handle.
 
-        With ``shards`` the served service is sharded (``system`` /
-        ``placement`` become shard 0).  The returned handle owns the
-        server, the service and an internal client; closing it tears
-        all three down.
+        The returned handle owns the server, the service and an internal
+        client; closing it tears all three down.
         """
         from repro.net import BackgroundServer, ServerConfig
 
-        service: SchedulerService | ShardedSchedulerService
-        if shards is not None:
-            service = ShardedSchedulerService(
-                [(system, placement), *shards], self.config
-            )
-        else:
-            service = SchedulerService(system, placement, self.config)
+        service = SchedulerService(system, placement, self.config)
         if server_config is None:
             server_config = ServerConfig(host=host, port=port)
         server = BackgroundServer(service, server_config).start()
@@ -124,11 +101,9 @@ class Scheduler:
 
 
 class LocalScheduler:
-    """Uniform handle over an in-process (plain or sharded) service."""
+    """Uniform handle over an in-process service."""
 
-    def __init__(
-        self, service: SchedulerService | ShardedSchedulerService
-    ) -> None:
+    def __init__(self, service: SchedulerService) -> None:
         self.service = service
 
     # ------------------------------------------------------------------
@@ -138,15 +113,7 @@ class LocalScheduler:
         *,
         deadline: float | None = None,
         arrival_ms: float | None = None,
-        shard: int | None = None,
     ) -> ServiceRecord:
-        if isinstance(self.service, ShardedSchedulerService):
-            return self.service.submit(
-                query, shard=shard, arrival_ms=arrival_ms,
-                deadline_ms=deadline,
-            )
-        if shard is not None:
-            raise ValueError("shard= requires a sharded scheduler")
         return self.service.submit(
             query, arrival_ms=arrival_ms, deadline_ms=deadline
         )
@@ -155,16 +122,10 @@ class LocalScheduler:
         return self.service.stats()
 
     def mark_failed(self, disks: Sequence[int]) -> None:
-        if isinstance(self.service, ShardedSchedulerService):
-            self.service.mark_failed_all(disks)
-        else:
-            self.service.mark_failed(disks)
+        self.service.mark_failed(disks)
 
     def mark_repaired(self, disks: Sequence[int]) -> None:
-        if isinstance(self.service, ShardedSchedulerService):
-            self.service.mark_repaired_all(disks)
-        else:
-            self.service.mark_repaired(disks)
+        self.service.mark_repaired(disks)
 
     def close(self) -> None:
         self.service.close()
@@ -189,11 +150,9 @@ class RemoteScheduler:
         *,
         deadline: float | None = None,
         arrival_ms: float | None = None,
-        shard: int | None = None,
     ) -> ServiceRecord:
         return self.client.submit(
             query,
-            shard=shard,
             arrival_ms=arrival_ms,
             admission_deadline_ms=deadline,
         )

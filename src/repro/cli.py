@@ -146,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=7411,
                          help="TCP port (0 picks an ephemeral port and "
                               "prints it)")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="independent scheduler shards (disjoint "
-                              "deployments)")
     p_serve.add_argument("--scheme", default="orthogonal",
                          choices=("rda", "dependent", "orthogonal"))
     p_serve.add_argument("--n", type=int, default=6, help="disks per site")
@@ -205,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="submit: buckets as 'i,j;i,j;...'")
     p_req.add_argument("--range", dest="range_q", metavar="i,j,r,c,N",
                        default=None, help="submit: a range query instead")
-    p_req.add_argument("--shard", type=int, default=None,
-                       help="explicit shard (default: hash routing)")
     p_req.add_argument("--disks", default=None,
                        help="mark-failed/mark-repaired: disk ids '0,3'")
     p_req.add_argument("--timeout-ms", "--deadline-ms", dest="deadline_ms",
@@ -572,20 +567,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _build_serve_service(args: argparse.Namespace):
     from repro.decluster.multisite import make_placement
-    from repro.service import (
-        SchedulerService,
-        ServiceConfig,
-        ShardedSchedulerService,
-    )
+    from repro.service import SchedulerService, ServiceConfig
     from repro.storage.system import StorageSystem
 
-    def deployment(seed):
-        rng = np.random.default_rng(seed)
-        placement = make_placement(args.scheme, args.n, num_sites=2, rng=rng)
-        system = StorageSystem.from_groups(
-            ["ssd+hdd", "ssd+hdd"], args.n, delays_ms=[1.0, 4.0], rng=rng
-        )
-        return system, placement
+    rng = np.random.default_rng(args.seed)
+    placement = make_placement(args.scheme, args.n, num_sites=2, rng=rng)
+    system = StorageSystem.from_groups(
+        ["ssd+hdd", "ssd+hdd"], args.n, delays_ms=[1.0, 4.0], rng=rng
+    )
 
     backend = args.solve_backend
     if backend is None and args.workers > 1:
@@ -607,12 +596,7 @@ def _build_serve_service(args: argparse.Namespace):
         mode=args.mode,
         online=online,
     )
-    if args.shards > 1:
-        return ShardedSchedulerService(
-            [deployment(args.seed + k) for k in range(args.shards)],
-            config=config,
-        )
-    return SchedulerService(*deployment(args.seed), config=config)
+    return SchedulerService(system, placement, config=config)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -620,9 +604,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.net import ServerConfig, serve
 
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
@@ -641,13 +622,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_after_ms=args.retry_after_ms,
     )
 
-    backend = service.services[0].solve_backend if hasattr(
-        service, "services") else service.solve_backend
+    backend = service.solve_backend
 
     def ready(server):
         print(
             f"repro serve: listening on {server.host}:{server.port} "
-            f"({args.shards} shard(s), N={args.n}/site, scheme "
+            f"(N={args.n}/site, scheme "
             f"{args.scheme}, solver {args.solver}, backend {backend}"
             f"{f' x{args.workers}' if backend == 'process' else ''}, "
             f"max in-flight {args.max_inflight})",
@@ -712,7 +692,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
             retry=RetryPolicy(attempts=max(1, args.attempts)),
         ) as client:
             if args.op == "submit":
-                record = client.submit(query, shard=args.shard)
+                record = client.submit(query)
                 if args.json:
                     out = dataclasses.asdict(record)
                     out["assignment"] = [
@@ -733,10 +713,10 @@ def _cmd_request(args: argparse.Namespace) -> int:
             elif args.op == "metrics":
                 print(client.metrics_text(), end="")
             elif args.op == "mark-failed":
-                client.mark_failed(disks, shard=args.shard)
+                client.mark_failed(disks)
                 print(f"marked failed: disks {disks}")
             elif args.op == "mark-repaired":
-                client.mark_repaired(disks, shard=args.shard)
+                client.mark_repaired(disks)
                 print(f"marked repaired: disks {disks}")
             elif args.op == "shutdown":
                 client.shutdown()

@@ -12,8 +12,8 @@ another :class:`~repro.net.client.AsyncSchedulerClient`.  Per op:
   so a given signature always lands on the same backend and that
   backend's warm :class:`~repro.service.cache.NetworkCache` entries and
   fleet-lane affinity stay hot across the whole cluster.  Params
-  (``shard``, ``arrival_ms``, ``admission_deadline_ms``) forward
-  verbatim.
+  (``arrival_ms``, ``admission_deadline_ms``) forward verbatim, and
+  the backend validates them.
 * ``health`` / ``stats`` — fanned out and merged; fleet-wide response
   percentiles are recomputed from the backends' pooled histogram
   buckets with :func:`~repro.service.stats.merged_quantile` (quantiles
@@ -21,8 +21,10 @@ another :class:`~repro.net.client.AsyncSchedulerClient`.  Per op:
 * ``metrics`` — per-backend Prometheus text concatenated under
   ``# repro.cluster: backend <id>`` headers, after the router's own.
 * ``mark_failed`` / ``mark_repaired`` — broadcast fleet-wide to every
-  live backend, serialized on a broadcast mutex (mirroring
-  ``ShardedSchedulerService``'s fleet-wide snapshot guarantee).
+  live backend, serialized on a broadcast mutex so racing broadcasts
+  apply in the same order everywhere.  Each backend validates every
+  disk id before it changes any state, so an unknown id applies
+  nowhere.
 
 **Failover and at-most-once.**  The router never silently re-sends a
 submit whose connection died mid-request: the backend may already have
@@ -97,8 +99,8 @@ class RoutingProxy(FrameServer):
         )
         self.cluster = cluster
         self._clients: dict[str, AsyncSchedulerClient] = {}
-        # serializes mark_failed/mark_repaired broadcasts (fleet-wide
-        # snapshot ordering, mirroring ShardedSchedulerService)
+        # serializes mark_failed/mark_repaired broadcasts so every
+        # backend applies racing broadcasts in the same order
         self._broadcast_mutex = asyncio.Lock()
 
         self._m_backends = self.registry.gauge(
@@ -225,8 +227,8 @@ class RoutingProxy(FrameServer):
                 retry_after_ms=self.config.retry_after_ms,
             )
         # decode the query only to compute the routing key; the params
-        # forward to the backend verbatim (arrival_ms, shard,
-        # admission_deadline_ms all ride through untouched)
+        # forward to the backend verbatim (arrival_ms and
+        # admission_deadline_ms ride through untouched)
         try:
             query = query_from_wire(params.get("query"))
         except NonIntegralFieldError as exc:
@@ -340,7 +342,6 @@ class RoutingProxy(FrameServer):
         inflight = 0
         max_inflight = 0
         queries = 0
-        shards = 0
         healthy = 0
         for b in self.cluster.backends:
             bid = b.backend_id
@@ -356,7 +357,6 @@ class RoutingProxy(FrameServer):
             inflight += int(payload.get("inflight", 0))
             max_inflight += int(payload.get("max_inflight", 0))
             queries += int(payload.get("queries", 0))
-            shards += int(payload.get("shards", 0))
         if self._draining:
             status = "draining"
         elif healthy == len(self.cluster.backends):
@@ -370,7 +370,6 @@ class RoutingProxy(FrameServer):
             "inflight": inflight,
             "max_inflight": max_inflight,
             "queries": queries,
-            "shards": shards,
             "per_backend": per_backend,
         }
 

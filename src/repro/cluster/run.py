@@ -16,8 +16,9 @@ from typing import Any, Callable, Sequence
 from repro.cluster.config import ClusterConfig
 from repro.cluster.membership import BackendInfo, ClusterMap
 from repro.cluster.router import RoutingProxy
-from repro.net.run import BackgroundServer, Service
+from repro.net.run import BackgroundServer
 from repro.net.server import ServerConfig
+from repro.service.scheduler import SchedulerService
 
 __all__ = ["BackgroundCluster"]
 
@@ -39,7 +40,7 @@ class BackgroundCluster:
 
     def __init__(
         self,
-        services: Sequence[Service],
+        services: Sequence[SchedulerService],
         config: ClusterConfig | None = None,
         *,
         monitor: bool = True,

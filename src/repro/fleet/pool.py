@@ -142,8 +142,7 @@ class SolveFleet:
         """The stable home lane for a replica signature.
 
         ``hash()`` over int tuples is deterministic (PYTHONHASHSEED only
-        perturbs str/bytes), so routing is stable across processes —
-        the same property the sharded service relies on.
+        perturbs str/bytes), so routing is stable across processes.
         """
         return hash(signature) % self.num_workers
 

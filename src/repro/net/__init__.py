@@ -2,8 +2,7 @@
 
 The serving edge for the reproduction — a TCP server speaking a
 length-prefixed JSON protocol in front of
-:class:`~repro.service.SchedulerService` /
-:class:`~repro.service.ShardedSchedulerService`, with bounded in-flight
+:class:`~repro.service.SchedulerService`, with bounded in-flight
 admission control (explicit ``OVERLOADED`` load shedding instead of
 unbounded queueing), graceful drain on SIGTERM or the ``shutdown`` RPC,
 and sync + async client libraries with pooling, deadlines and

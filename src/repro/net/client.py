@@ -401,7 +401,6 @@ class AsyncSchedulerClient:
         self,
         query: QueryLike,
         *,
-        shard: int | None = None,
         arrival_ms: float | None = None,
         deadline_ms: float | None = _UNSET,
         admission_deadline_ms: float | None = None,
@@ -415,8 +414,6 @@ class AsyncSchedulerClient:
         :class:`~repro.net.errors.OverloadedError`.
         """
         params: dict[str, Any] = {"query": query_to_wire(query)}
-        if shard is not None:
-            params["shard"] = shard
         if arrival_ms is not None:
             params["arrival_ms"] = arrival_ms
         if admission_deadline_ms is not None:
@@ -444,21 +441,11 @@ class AsyncSchedulerClient:
             raise ProtocolError(f"malformed metrics payload: {result!r}")
         return str(result["text"])
 
-    async def mark_failed(
-        self, disks: Sequence[int], *, shard: int | None = None
-    ) -> None:
-        params: dict[str, Any] = {"disks": list(disks)}
-        if shard is not None:
-            params["shard"] = shard
-        await self.request("mark_failed", params)
+    async def mark_failed(self, disks: Sequence[int]) -> None:
+        await self.request("mark_failed", {"disks": list(disks)})
 
-    async def mark_repaired(
-        self, disks: Sequence[int], *, shard: int | None = None
-    ) -> None:
-        params: dict[str, Any] = {"disks": list(disks)}
-        if shard is not None:
-            params["shard"] = shard
-        await self.request("mark_repaired", params)
+    async def mark_repaired(self, disks: Sequence[int]) -> None:
+        await self.request("mark_repaired", {"disks": list(disks)})
 
     async def shutdown(self) -> None:
         await self.request("shutdown")
@@ -535,7 +522,6 @@ class SchedulerClient:
         self,
         query: QueryLike,
         *,
-        shard: int | None = None,
         arrival_ms: float | None = None,
         deadline_ms: float | None = _UNSET,
         admission_deadline_ms: float | None = None,
@@ -543,7 +529,6 @@ class SchedulerClient:
         return self._run(
             self._async.submit(
                 query,
-                shard=shard,
                 arrival_ms=arrival_ms,
                 deadline_ms=deadline_ms,
                 admission_deadline_ms=admission_deadline_ms,
@@ -559,15 +544,11 @@ class SchedulerClient:
     def metrics_text(self) -> str:
         return self._run(self._async.metrics_text())
 
-    def mark_failed(
-        self, disks: Sequence[int], *, shard: int | None = None
-    ) -> None:
-        self._run(self._async.mark_failed(disks, shard=shard))
+    def mark_failed(self, disks: Sequence[int]) -> None:
+        self._run(self._async.mark_failed(disks))
 
-    def mark_repaired(
-        self, disks: Sequence[int], *, shard: int | None = None
-    ) -> None:
-        self._run(self._async.mark_repaired(disks, shard=shard))
+    def mark_repaired(self, disks: Sequence[int]) -> None:
+        self._run(self._async.mark_repaired(disks))
 
     def shutdown(self) -> None:
         self._run(self._async.shutdown())

@@ -57,7 +57,7 @@ class ProtocolError(NetError):
 class NonIntegralFieldError(ProtocolError):
     """A numeric wire field that must be integral carries a fraction.
 
-    Counts and coordinates (bucket counts, grid indices, shard ids) are
+    Counts and coordinates (bucket counts, grid indices, disk ids) are
     exact integers end to end under the integer kernel contract; a value
     like ``2.5`` is rejected at decode time instead of being silently
     truncated.  The server maps this to an ``INVALID_QUERY`` envelope —

@@ -20,16 +20,13 @@ from typing import Callable
 
 from repro.net.server import SchedulerServer, ServerConfig
 from repro.service.scheduler import SchedulerService
-from repro.service.sharded import ShardedSchedulerService
 from repro.service.stats import ServiceStats
 
 __all__ = ["serve", "BackgroundServer"]
 
-Service = SchedulerService | ShardedSchedulerService
-
 
 async def serve(
-    service: Service,
+    service: SchedulerService,
     config: ServerConfig | None = None,
     *,
     install_signal_handlers: bool = True,
@@ -76,7 +73,7 @@ class BackgroundServer:
 
     def __init__(
         self,
-        service: Service,
+        service: SchedulerService,
         config: ServerConfig | None = None,
     ) -> None:
         self.server = SchedulerServer(service, config)

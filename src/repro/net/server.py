@@ -1,7 +1,7 @@
 """The asyncio RPC front end over the scheduler service.
 
-:class:`SchedulerServer` exposes a :class:`~repro.service.SchedulerService`
-or :class:`~repro.service.ShardedSchedulerService` over TCP using the
+:class:`SchedulerServer` exposes one deployment's
+:class:`~repro.service.SchedulerService` over TCP using the
 length-prefixed JSON protocol in :mod:`repro.net.protocol`.  The
 transport half — handshake, per-connection read loop, one task per
 request, graceful drain — lives in the reusable
@@ -29,7 +29,7 @@ cluster routing proxy); this module adds what is scheduler-specific:
 
 Per-connection/request counters and latency histograms are deposited in
 a :class:`~repro.obs.MetricsRegistry`; the ``metrics`` RPC serves them —
-together with the underlying service's registries — through the existing
+together with the underlying service's registry — through the existing
 Prometheus text exporter.
 """
 
@@ -51,7 +51,6 @@ from repro.net.protocol import (
 )
 from repro.obs.export import to_prometheus
 from repro.service.scheduler import SchedulerService
-from repro.service.sharded import ShardedSchedulerService
 from repro.service.stats import (
     ServiceRecord,
     ServiceStats,
@@ -75,6 +74,19 @@ OPS = frozenset(
 )
 
 
+def _reject_shard(params: dict[str, Any]) -> None:
+    """Refuse the retired ``shard`` param instead of ignoring it.
+
+    A server schedules exactly one deployment, so a client that still
+    routes to a shard id is addressing a server that no longer exists.
+    """
+    if params.get("shard") is not None:
+        raise ProtocolError(
+            "shard is not a parameter: a server schedules one deployment "
+            "(scale one deployment out with `repro cluster`)"
+        )
+
+
 class SchedulerServer(FrameServer):
     """Serve a scheduler service over TCP with admission control."""
 
@@ -83,7 +95,7 @@ class SchedulerServer(FrameServer):
 
     def __init__(
         self,
-        service: SchedulerService | ShardedSchedulerService,
+        service: SchedulerService,
         config: ServerConfig | None = None,
     ) -> None:
         super().__init__(config)
@@ -171,11 +183,7 @@ class SchedulerServer(FrameServer):
             )
         try:
             query = query_from_wire(params.get("query"))
-            shard = params.get("shard")
-            if shard is not None and (
-                not isinstance(shard, int) or isinstance(shard, bool)
-            ):
-                raise ProtocolError(f"shard must be an int: {shard!r}")
+            _reject_shard(params)
             arrival_raw = params.get("arrival_ms")
             if arrival_raw is not None and not isinstance(
                 arrival_raw, (int, float)
@@ -210,12 +218,11 @@ class SchedulerServer(FrameServer):
                 partial(
                     self._submit_sync,
                     query,
-                    shard,
                     arrival_ms,
                     admission_deadline_ms,
                 ),
             )
-        except ValueError as exc:  # e.g. out-of-range shard id
+        except ValueError as exc:  # a value the scheduler rejects
             return error_response(req_id, "BAD_REQUEST", str(exc))
         except WorkerCrashedError as exc:
             # a fleet worker died mid-solve: the query was valid, the
@@ -248,7 +255,6 @@ class SchedulerServer(FrameServer):
     def _submit_sync(
         self,
         query: Any,
-        shard: int | None,
         arrival_ms: float | None,
         admission_deadline_ms: float | None = None,
     ) -> ServiceRecord:
@@ -258,12 +264,6 @@ class SchedulerServer(FrameServer):
         extra: dict[str, float] = {}
         if admission_deadline_ms is not None:
             extra["deadline_ms"] = admission_deadline_ms
-        if isinstance(self.service, ShardedSchedulerService):
-            return self.service.submit(
-                query, shard=shard, arrival_ms=arrival_ms, **extra
-            )
-        if shard is not None:
-            raise ValueError("shard= requires a sharded service")
         return self.service.submit(query, arrival_ms=arrival_ms, **extra)
 
     def _op_mark(
@@ -280,39 +280,17 @@ class SchedulerServer(FrameServer):
             return error_response(
                 req_id, "BAD_REQUEST", "disks must be a non-empty int list"
             )
-        shard = params.get("shard")
-        if shard is not None and (
-            not isinstance(shard, int) or isinstance(shard, bool)
-        ):
-            return error_response(
-                req_id, "BAD_REQUEST", f"shard must be an int: {shard!r}"
-            )
         try:
-            if isinstance(self.service, ShardedSchedulerService):
-                if op == "mark_failed":
-                    if shard is None:
-                        self.service.mark_failed_all(raw)
-                    else:
-                        self.service.mark_failed(shard, raw)
-                else:
-                    if shard is None:
-                        self.service.mark_repaired_all(raw)
-                    else:
-                        self.service.mark_repaired(shard, raw)
+            _reject_shard(params)
+            if op == "mark_failed":
+                self.service.mark_failed(raw)
             else:
-                if shard is not None:
-                    return error_response(
-                        req_id, "BAD_REQUEST", "shard= requires a sharded service"
-                    )
-                if op == "mark_failed":
-                    self.service.mark_failed(raw)
-                else:
-                    self.service.mark_repaired(raw)
-        except ValueError as exc:
+                self.service.mark_repaired(raw)
+        except ProtocolError as exc:
             return error_response(req_id, "BAD_REQUEST", str(exc))
         except ReproError as exc:
             return error_response(req_id, "INVALID_QUERY", str(exc))
-        return ok_response(req_id, {"disks": raw, "shard": shard})
+        return ok_response(req_id, {"disks": raw})
 
     # ------------------------------------------------------------------
     # payload builders
@@ -324,20 +302,7 @@ class SchedulerServer(FrameServer):
             "inflight": self._inflight,
             "max_inflight": self.config.max_inflight,
             "queries": stats.queries,
-            "shards": (
-                self.service.num_shards
-                if isinstance(self.service, ShardedSchedulerService)
-                else 1
-            ),
         }
-
-    def _response_histograms(self) -> list[Any]:
-        if isinstance(self.service, ShardedSchedulerService):
-            return [
-                registry.get("repro_service_response_ms")
-                for registry in self.service.registries
-            ]
-        return [self.service.registry.get("repro_service_response_ms")]
 
     def _stats_payload(self) -> dict[str, Any]:
         stats = self.service.stats()
@@ -357,18 +322,16 @@ class SchedulerServer(FrameServer):
             # exact fleet-wide percentiles via merged_quantile instead
             # of averaging per-backend quantiles (which do not add)
             "response_histogram": histogram_to_wire(
-                self._response_histograms()
+                [self.service.registry.get("repro_service_response_ms")]
             ),
         }
 
     def metrics_text(self) -> str:
-        """Prometheus text for the net layer plus the service registries."""
-        parts = [to_prometheus(self.registry)]
-        if isinstance(self.service, ShardedSchedulerService):
-            for k, registry in enumerate(self.service.registries):
-                parts.append(f"# repro.net: scheduler shard {k}\n")
-                parts.append(to_prometheus(registry))
-        else:
-            parts.append("# repro.net: scheduler\n")
-            parts.append(to_prometheus(self.service.registry))
-        return "".join(parts)
+        """Prometheus text for the net layer plus the service's registry."""
+        return "".join(
+            [
+                to_prometheus(self.registry),
+                "# repro.net: scheduler\n",
+                to_prometheus(self.service.registry),
+            ]
+        )

@@ -89,8 +89,8 @@ class OnlineScheduler(SchedulerService):
     Constructed directly, or — the intended spelling — via
     ``SchedulerService(system, placement, config)`` with
     ``config.mode == "online"`` (the base constructor dispatches here),
-    so every existing wiring (sharded, net server, CLI serve) gains the
-    online mode by configuration alone.
+    so every existing wiring (net server, CLI serve) gains the online
+    mode by configuration alone.
     """
 
     def __init__(
@@ -349,12 +349,11 @@ class OnlineScheduler(SchedulerService):
         configured incremental solver.  Raises
         :class:`~repro.errors.InfeasibleScheduleError` if some bucket
         lost every replica (the query is dropped from the in-flight set
-        first — it can never complete).
+        first — it can never complete).  Every id is validated before
+        any state, clock or drain changes.
         """
         with self._lock:
-            for d in disks:
-                self.system.disk(d)  # validates the id
-                self._failed.add(d)
+            self._failed.update(self._checked_disks_locked(disks))
             now = self._now() if self._wall else self._clock_ms
             self._drain_due_locked(now)
             self._clock_ms = max(self._clock_ms, now)
@@ -367,14 +366,15 @@ class OnlineScheduler(SchedulerService):
         Each in-flight query's remaining buckets are speculatively
         re-solved over the enlarged survivor set; the new plan is
         adopted only when it strictly improves that query's remaining
-        completion time.
+        completion time.  Every id is validated before any state, clock
+        or drain changes.
         """
         with self._lock:
+            ids = self._checked_disks_locked(disks)
             now = self._now() if self._wall else self._clock_ms
             self._drain_due_locked(now)
             self._clock_ms = max(self._clock_ms, now)
-            for d in disks:
-                self.system.disk(d)  # validates the id
+            for d in ids:
                 self._failed.discard(d)
                 self._busy_until[d] = 0.0  # backlog restarts at zero
             self._replan_for_improvement_locked(now)

@@ -8,7 +8,6 @@ the public import surface is unchanged and extended::
         ServiceRecord,             # as before (+ query/cache_hit fields)
         ServiceStats,              # as before (+ p50/p95, cache, batches)
         ServiceConfig,             # scheduling policy as a value
-        ShardedSchedulerService,   # N services over disjoint disk groups
         NetworkCache,              # warm-start network cache
     )
 """
@@ -17,7 +16,6 @@ from repro.service.batching import BatchAdmission
 from repro.service.cache import CacheEntry, NetworkCache
 from repro.service.config import ServiceConfig, perf_ms
 from repro.service.scheduler import SchedulerService
-from repro.service.sharded import ShardedSchedulerService, merged_quantile
 from repro.service.stats import ServiceRecord, ServiceStats
 
 __all__ = [
@@ -28,7 +26,5 @@ __all__ = [
     "ServiceConfig",
     "ServiceRecord",
     "ServiceStats",
-    "ShardedSchedulerService",
-    "merged_quantile",
     "perf_ms",
 ]

@@ -12,13 +12,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from repro.obs.registry import MetricsRegistry
 from repro.online.config import OnlineConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.pool import SolveFleet
 
 __all__ = ["ServiceConfig", "perf_ms"]
 
@@ -71,13 +68,10 @@ class ServiceConfig:
         variable, defaulting to ``"thread"`` — which is how CI matrixes
         the whole fast suite over both backends with zero code changes.
     fleet_workers:
-        Lane count for a ``process`` backend built by this config
-        (ignored when ``fleet`` is provided or the backend is
-        ``thread``).
-    fleet:
-        A pre-built :class:`~repro.fleet.SolveFleet` to share (the
-        sharded service hands every shard the same fleet).  The service
-        does not take ownership — whoever built the fleet closes it.
+        Lane count of the :class:`~repro.fleet.SolveFleet` a
+        ``process``-backed service builds, owns and closes (ignored by
+        the ``thread`` backend).  The fleet's workers run this config's
+        ``solver``, ``solver_kwargs`` and ``cache_size``.
     mode:
         ``"offline"`` (default): the historical behaviour — every query
         is scheduled against a static busy horizon and never departs.
@@ -101,7 +95,6 @@ class ServiceConfig:
     cache_size: int = 64
     solve_backend: str | None = None
     fleet_workers: int = 1
-    fleet: "SolveFleet | None" = None
     mode: str = "offline"
     online: OnlineConfig | None = None
 

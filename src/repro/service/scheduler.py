@@ -81,8 +81,8 @@ class SchedulerService:
 
     With ``config.mode == "online"`` construction dispatches to the
     continuous-time :class:`~repro.online.OnlineScheduler` subclass, so
-    every existing wiring (sharded, net server, CLI serve) gains the
-    online mode by configuration alone.
+    every existing wiring (net server, CLI serve) gains the online mode
+    by configuration alone.
     """
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "SchedulerService":
@@ -132,24 +132,19 @@ class SchedulerService:
 
         # solve backend: "thread" solves in the calling thread;
         # "process" routes every solve into a SolveFleet worker (the GIL
-        # escape).  A fleet handed in through the config is shared and
-        # stays open on close(); one built here is owned and closed.
-        # Imported lazily so thread-backed services never load the fleet.
+        # escape) that this service builds, owns and closes.  Imported
+        # lazily so thread-backed services never load the fleet.
         self.solve_backend = config.resolved_solve_backend()
         self._fleet: SolveFleet | None = None
-        self._owns_fleet = False
         if self.solve_backend == "process":
             from repro.fleet.pool import SolveFleet
 
-            self._fleet = config.fleet
-            if self._fleet is None:
-                self._owns_fleet = True
-                self._fleet = SolveFleet(
-                    config.fleet_workers,
-                    solver=config.solver,
-                    solver_kwargs=dict(config.solver_kwargs),
-                    cache_size=config.cache_size,
-                )
+            self._fleet = SolveFleet(
+                config.fleet_workers,
+                solver=config.solver,
+                solver_kwargs=dict(config.solver_kwargs),
+                cache_size=config.cache_size,
+            )
 
         self.registry = (
             config.registry if config.registry is not None else MetricsRegistry()
@@ -203,18 +198,26 @@ class SchedulerService:
     # ------------------------------------------------------------------
     # failure management
     # ------------------------------------------------------------------
+    def _checked_disks_locked(self, disks: Sequence[int]) -> list[int]:
+        """``disks`` as a list, every id validated before any is applied.
+
+        Raises :class:`~repro.errors.StorageConfigError` on the first
+        unknown id, so a ``mark_*`` call with one bad id changes nothing.
+        """
+        ids = list(disks)
+        for d in ids:
+            self.system.disk(d)
+        return ids
+
     def mark_failed(self, disks: Sequence[int]) -> None:
         """Take disks out of scheduling (e.g. SMART pre-fail, dead path)."""
         with self._lock:
-            for d in disks:
-                self.system.disk(d)  # validates the id
-                self._failed.add(d)
+            self._failed.update(self._checked_disks_locked(disks))
 
     def mark_repaired(self, disks: Sequence[int]) -> None:
         """Return repaired disks to service (their backlog restarts at 0)."""
         with self._lock:
-            for d in disks:
-                self.system.disk(d)  # validates the id
+            for d in self._checked_disks_locked(disks):
                 self._failed.discard(d)
                 self._busy_until[d] = 0.0
                 self._m_depth[d].set(0.0)
@@ -497,15 +500,14 @@ class SchedulerService:
         return self._cache
 
     def close(self) -> None:
-        """Shut down an owned solve fleet (worker processes); idempotent.
+        """Shut down the solve fleet (worker processes); idempotent.
 
         Thread-backed services hold nothing worth releasing, so calling
         this is only *required* for ``solve_backend="process"`` — but it
-        is always safe.  A fleet shared through ``config.fleet`` stays
-        open: whoever built it closes it.  Taking the service lock
-        serialises close() against any in-flight ``_solve_locked`` fleet
-        call, so the fleet can never be torn down mid-solve.
+        is always safe.  Taking the service lock serialises close()
+        against any in-flight ``_solve_locked`` fleet call, so the fleet
+        can never be torn down mid-solve.
         """
         with self._lock:
-            if self._owns_fleet and self._fleet is not None:
+            if self._fleet is not None:
                 self._fleet.close()

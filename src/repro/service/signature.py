@@ -1,29 +1,16 @@
 """Cross-process-stable replica-set signature hashing.
 
-Both routing layers key on the same thing: the *signature* of a query —
-its sorted bucket coordinates, which determine the replica sets and
-therefore which warm :class:`~repro.service.cache.NetworkCache` entries
-and :class:`~repro.fleet.pool.SolveFleet` lanes can serve it.
-``ShardedSchedulerService`` routes signatures to in-process shards;
+Routing keys on the *signature* of a query — its sorted bucket
+coordinates, which determine the replica sets and therefore which warm
+:class:`~repro.service.cache.NetworkCache` entries can serve it.
 ``repro.cluster``'s :class:`~repro.cluster.router.RoutingProxy` routes
-them to backend servers.  For the two layers to agree on placement —
-and for placement to survive a process restart — the hash must be a
+signatures to backend servers.  For every router to agree on placement
+— and for placement to survive a process restart — the hash must be a
 function of the *bytes* of the signature, not of interpreter state.
 
 This module is that shared definition: a canonical byte encoding of the
 sorted coordinates, SHA-256 over it, and a rendezvous
 (highest-random-weight) score for cluster membership.
-
-Compatibility note: before 1.4.0, ``ShardedSchedulerService.shard_of``
-used the builtin ``hash()`` over the coordinate tuple.  That *is*
-deterministic across processes for int tuples (``PYTHONHASHSEED`` only
-perturbs str/bytes), but it is an implementation detail of CPython's
-tuple hash, differs across Python versions and implementations, and has
-no byte-level definition a non-Python router could reproduce.  1.4.0
-switched both layers to the SHA-256 hash below, which changes which
-shard a given signature lands on — harmless (any shard serves any
-query; only cache warmth moves) but visible in tests that pinned shard
-ids.
 """
 
 from __future__ import annotations
@@ -71,7 +58,7 @@ def stable_signature_hash(query: QueryLike) -> int:
     """A 64-bit hash of the query's signature, stable across processes.
 
     The first 8 bytes of SHA-256 over :func:`signature_bytes`.  Use it
-    modulo the shard/lane count for placement; equal signatures hash
+    modulo a member count for placement; equal signatures hash
     equal in every process, on every platform, in every Python version.
     """
     digest = hashlib.sha256(signature_bytes(signature_of(query))).digest()

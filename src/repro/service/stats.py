@@ -241,24 +241,3 @@ class ServiceStats:
     @property
     def mean_decision_ms(self) -> float:
         return self.total_decision_ms / self.queries if self.queries else 0.0
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "ServiceStats") -> "ServiceStats":
-        """Elementwise sum/max with another snapshot (sharded roll-up).
-
-        Percentile fields are *not* merged here — quantiles do not add;
-        :class:`~repro.service.ShardedSchedulerService` recomputes them
-        from the shards' combined histogram buckets.
-        """
-        return ServiceStats(
-            queries=self.queries + other.queries,
-            buckets=self.buckets + other.buckets,
-            total_response_ms=self.total_response_ms + other.total_response_ms,
-            max_response_ms=max(self.max_response_ms, other.max_response_ms),
-            total_decision_ms=self.total_decision_ms + other.total_decision_ms,
-            degraded_queries=self.degraded_queries + other.degraded_queries,
-            per_disk_buckets=list(self.per_disk_buckets)
-            + list(other.per_disk_buckets),
-            cache_hits=self.cache_hits + other.cache_hits,
-            batches=self.batches + other.batches,
-        )

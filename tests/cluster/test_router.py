@@ -32,6 +32,7 @@ from repro.cluster import (
 from repro.cluster.membership import BackendInfo
 from repro.net import (
     BackgroundServer,
+    BadRequestError,
     OverloadedError,
     RetryPolicy,
     SchedulerClient,
@@ -43,6 +44,7 @@ from repro.net.errors import (
     OverloadedError as WireOverloadedError,
     RemoteError,
 )
+from repro.net.protocol import query_to_wire
 from repro.net.server import ServerConfig
 from repro.service import SchedulerService, ServiceConfig
 from repro.service.signature import (
@@ -226,23 +228,22 @@ class TestRoutedTransparency:
         assert stats["per_backend"][owner]["queries"] == 6
 
     def test_arrival_and_shard_params_forward_verbatim(self):
-        # backends are 2-shard services: `shard=` must ride through the
-        # router untouched and arrival_ms must key backend history
-        def sharded():
-            from repro.service import ShardedSchedulerService
-
-            return ShardedSchedulerService(
-                [deployment(0), deployment(1)], config=ServiceConfig()
-            )
-
-        with BackgroundCluster([sharded(), sharded()], monitor=False) as bg:
-            with SchedulerClient(bg.host, bg.port) as client:
-                rec = client.submit(
-                    [(0, 0), (1, 1)], shard=1, arrival_ms=25.0
-                )
+        # params ride through the router untouched: arrival_ms keys the
+        # backend history, and the retired `shard` param reaches the
+        # backend, whose typed BAD_REQUEST comes back unchanged
+        services = [make_service(seed=0) for _ in range(2)]
+        with BackgroundCluster(services, monitor=False) as bg:
+            with SchedulerClient(
+                bg.host, bg.port, retry=RetryPolicy(attempts=1)
+            ) as client:
+                rec = client.submit([(0, 0), (1, 1)], arrival_ms=25.0)
                 assert rec.arrival_ms == 25.0
-                health = client.health()
-                assert health["shards"] == 4  # 2 backends x 2 shards
+                with pytest.raises(BadRequestError, match="shard"):
+                    client.request(
+                        "submit",
+                        {"query": query_to_wire([(0, 0)]), "shard": 1},
+                    )
+                assert client.health()["queries"] == 1
 
 
 class TestMergedControlPlane:
@@ -312,13 +313,17 @@ class TestMergedControlPlane:
                 assert not ra2.degraded and not rb2.degraded
 
     def test_mark_bad_disk_id_maps_to_typed_error(self):
-        services = [make_service(seed=0)]
+        services = [make_service(seed=0) for _ in range(2)]
         with BackgroundCluster(services, monitor=False) as bg:
             with SchedulerClient(
                 bg.host, bg.port, retry=RetryPolicy(attempts=1)
             ) as client:
                 with pytest.raises(RemoteError):
                     client.mark_failed([999])
+                # a bad id after a good one applies on no backend
+                with pytest.raises(RemoteError, match="999"):
+                    client.mark_failed([0, 999])
+        assert all(svc.failed_disks == frozenset() for svc in services)
 
 
 class TestAdmissionDeadlineForwarding:

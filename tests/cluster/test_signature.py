@@ -1,8 +1,8 @@
 """The shared signature hash: stability, canonicalisation, rendezvous.
 
 The whole cluster tier leans on one invariant: every process — any
-scheduler shard, any router, on any machine — maps the same query to
-the same signature bytes and the same hash.  These tests pin the
+router, on any machine — maps the same query to the same signature
+bytes and the same hash.  These tests pin the
 canonical encoding and the SHA-256 digest to literal values so an
 accidental change to either breaks loudly (it would silently scatter
 warm caches across the fleet otherwise).
@@ -17,7 +17,6 @@ import pytest
 
 from repro.decluster import make_placement
 from repro.service import SchedulerService, ServiceConfig
-from repro.service.sharded import ShardedSchedulerService
 from repro.service.signature import (
     rendezvous_choice,
     rendezvous_score,
@@ -55,8 +54,8 @@ class TestStableHash:
 
     def test_pinned_digest_value(self):
         # literal pin: sha256(b"0,0;1,1;2,3")[:8] big-endian.  If this
-        # moves, every deployed router and shard disagrees with the old
-        # ones about signature placement.
+        # moves, every deployed router disagrees with the old ones
+        # about signature placement.
         assert stable_signature_hash([(2, 3), (0, 0), (1, 1)]) == (
             14539087087337857718
         )
@@ -73,31 +72,6 @@ class TestStableHash:
     def test_order_invariant(self):
         a = [(0, 0), (3, 2), (1, 4)]
         assert stable_signature_hash(a) == stable_signature_hash(a[::-1])
-
-
-class TestShardOfAgreement:
-    def make_sharded(self, shards=3, n=5, seed=0):
-        deployments = []
-        for k in range(shards):
-            rng = np.random.default_rng(seed + k)
-            placement = make_placement("orthogonal", n, num_sites=2, rng=rng)
-            system = StorageSystem.from_groups(
-                ["ssd+hdd", "ssd+hdd"], n, delays_ms=[1.0, 4.0], rng=rng
-            )
-            deployments.append((system, placement))
-        return ShardedSchedulerService(deployments, config=ServiceConfig())
-
-    def test_shard_of_uses_the_stable_hash(self):
-        service = self.make_sharded()
-        coords = [(0, 0), (1, 1), (2, 3)]
-        assert service.shard_of(coords) == (
-            stable_signature_hash(coords) % service.num_shards
-        )
-
-    def test_shard_of_matches_router_side_hash_for_queries(self):
-        service = self.make_sharded()
-        q = RangeQuery(0, 0, 2, 2, 5)
-        assert service.shard_of(q) == stable_signature_hash(q) % 3
 
 
 class TestRendezvous:

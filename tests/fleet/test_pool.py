@@ -168,18 +168,25 @@ class TestBackendRegistry:
 
 
 class TestServiceFleetOwnership:
-    def test_service_leaves_a_shared_fleet_open(self, fleet):
-        svc = SchedulerService(
-            *deployment(),
-            config=ServiceConfig(solve_backend="process", fleet=fleet),
+    def test_service_fleet_runs_the_service_solver(self):
+        # the fleet is always built from the service's own config, so a
+        # process-backed service can never solve with another policy
+        config = ServiceConfig(
+            solver="blackbox-binary", solve_backend="process", cache_size=3
         )
-        assert svc._fleet is fleet
-        svc.submit([(0, 0), (1, 2)], arrival_ms=0.0)
-        svc.close()
-        svc.close()  # idempotent
-        # the shared fleet must survive the service's close
-        schedule, _ = fleet.solve(small_problem(2))
-        assert len(schedule.assignment) == small_problem(2).num_buckets
+        svc = SchedulerService(*deployment(), config=config)
+        try:
+            fleet = svc._fleet
+            assert fleet is not None
+            assert (fleet.solver, fleet.cache_size) == ("blackbox-binary", 3)
+            problem = RetrievalProblem.from_query(
+                svc.system, svc.placement, [(0, 0), (1, 2), (3, 3)]
+            )
+            expected = solve(problem, solver="blackbox-binary")
+            record = svc.submit([(0, 0), (1, 2), (3, 3)], arrival_ms=0.0)
+            assert record.response_time_ms == expected.response_time_ms
+        finally:
+            svc.close()
 
     def test_service_closes_its_own_fleet(self):
         svc = SchedulerService(

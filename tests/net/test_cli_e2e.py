@@ -48,7 +48,7 @@ def run_request(port, *args, timeout=30):
 def server():
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--shards", "2", "--max-inflight", "8"],
+         "--max-inflight", "8"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -74,14 +74,13 @@ class TestServeCli:
         assert health.returncode == 0, health.stderr
         payload = json.loads(health.stdout)
         assert payload["status"] == "ok"
-        assert payload["shards"] == 2
 
         submit = run_request(port, "submit", "--coords", "0,0;1,1;2,3")
         assert submit.returncode == 0, submit.stderr
         assert "scheduled 3 buckets" in submit.stdout
 
         ranged = run_request(
-            port, "submit", "--range", "0,0,2,2,6", "--shard", "1", "--json"
+            port, "submit", "--range", "0,0,2,2,6", "--json"
         )
         assert ranged.returncode == 0, ranged.stderr
         record = json.loads(ranged.stdout)
@@ -90,13 +89,21 @@ class TestServeCli:
         metrics = run_request(port, "metrics")
         assert metrics.returncode == 0
         assert "repro_net_requests_total" in metrics.stdout
-        assert "scheduler shard 1" in metrics.stdout
+        assert "# repro.net: scheduler" in metrics.stdout
+
+        # one unknown disk id: typed error, exit 1, nothing applied
+        bad = run_request(port, "mark-failed", "--disks", "0,999")
+        assert bad.returncode == 1
+        assert "InvalidQueryError" in bad.stderr
+        after = run_request(port, "submit", "--coords", "4,4")
+        assert after.returncode == 0, after.stderr
+        assert "degraded False" in after.stdout
 
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
         assert proc.returncode == 0, out
         assert "drain complete" in out
-        assert "2 queries" in out
+        assert "3 queries" in out
 
     def test_sigterm_drains_with_idle_connected_client(self, server):
         # regression for Python >= 3.12, where Server.wait_closed()

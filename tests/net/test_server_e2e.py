@@ -5,7 +5,7 @@ The load-bearing checks of the network layer:
 * *wire transparency* — schedules produced via the RPC path must be
   byte-identical to direct ``SchedulerService.submit`` calls on an
   identically-seeded deployment, serially and under 8-way concurrency
-  against a 2-shard server (replaying the server-side admission order);
+  (replaying the server-side admission order on a fresh service);
 * *admission control* — a capacity-1 server sheds the second concurrent
   submit with a typed ``OVERLOADED`` carrying a retry hint, and a
   retrying client eventually gets through;
@@ -46,11 +46,8 @@ from repro.net.protocol import (
     encode_frame,
     make_request,
 )
-from repro.service import (
-    SchedulerService,
-    ServiceConfig,
-    ShardedSchedulerService,
-)
+from repro.net.protocol import query_to_wire
+from repro.service import SchedulerService, ServiceConfig
 from repro.storage import StorageSystem
 
 N = 5
@@ -143,12 +140,8 @@ class TestDifferential:
                 ]
         assert all(records_match(a, b) for a, b in zip(expected, got))
 
-    def test_eight_concurrent_clients_two_shards_replay_identical(self):
-        shards = 2
-        config = ServiceConfig()
-        service = ShardedSchedulerService(
-            [deployment(seed=100 + k) for k in range(shards)], config=config
-        )
+    def test_eight_concurrent_clients_replay_identical(self):
+        service = make_service(seed=100)
         streams = [make_queries(50 + c, 6) for c in range(8)]
         held: list = []
         failures: list = []
@@ -177,27 +170,19 @@ class TestDifferential:
         assert not failures, failures
         assert len(held) == 8 * 6
 
-        # replay each shard's admission order against a fresh, identically
-        # seeded direct service: every schedule must reproduce exactly
-        replayed = {}
-        for k, shard_svc in enumerate(service.services):
-            fresh = SchedulerService(
-                *deployment(seed=100 + k), config=ServiceConfig()
-            )
-            for rec in shard_svc.history:
-                again = fresh.submit(rec.query, arrival_ms=rec.arrival_ms)
-                assert records_match(rec, again)
-                replayed[(k, rec.arrival_ms)] = again
-
-        # and every record a client holds must equal the server's record
-        by_arrival = {
-            rec.arrival_ms: rec
-            for svc in service.services
-            for rec in svc.history
-        }
-        assert len(by_arrival) == len(held)
+        # every record a client holds must equal the server's record
+        history = list(service.history)
+        by_arrival = {rec.arrival_ms: rec for rec in history}
+        assert len(history) == len(by_arrival) == len(held)
         for rec in held:
             assert records_match(rec, by_arrival[rec.arrival_ms])
+
+        # and replaying the server's admission order against a fresh,
+        # identically seeded direct service reproduces every schedule
+        fresh = make_service(seed=100)
+        for rec in history:
+            again = fresh.submit(rec.query, arrival_ms=rec.arrival_ms)
+            assert records_match(rec, again)
 
 
 # ----------------------------------------------------------------------
@@ -499,8 +484,12 @@ class TestWireEdgeCases:
                 with pytest.raises(InvalidQueryError, match="non-decreasing"):
                     # scheduler-level rejection: arrival time regression
                     client.submit([(1, 1)], arrival_ms=10.0)
-                with pytest.raises(BadRequestError):
-                    client.submit([(0, 0)], shard=3)  # not a sharded service
+                with pytest.raises(BadRequestError, match="shard"):
+                    # the retired shard param is refused, not ignored
+                    client.request(
+                        "submit",
+                        {"query": query_to_wire([(0, 0)]), "shard": 1},
+                    )
                 # the connection survived all three errors
                 assert client.health()["status"] == "ok"
 
@@ -559,7 +548,6 @@ class TestObservability:
                 client.submit([(0, 0), (1, 1)])
                 health = client.health()
                 assert health["status"] == "ok"
-                assert health["shards"] == 1
                 assert health["queries"] == 1
                 stats = client.stats()
                 assert stats["queries"] == 1
@@ -569,36 +557,26 @@ class TestObservability:
         assert "repro_net_request_ms" in text
         assert "repro_service_response_ms" in text  # service registry too
 
-    def test_sharded_metrics_include_every_shard(self):
-        service = ShardedSchedulerService(
-            [deployment(seed=30 + k) for k in range(2)],
-            config=ServiceConfig(),
-        )
+    def test_mark_with_unknown_disk_applies_nothing(self):
+        service = make_service(seed=40)
         with BackgroundServer(service) as bg:
-            with SchedulerClient(bg.host, bg.port) as client:
-                assert client.health()["shards"] == 2
-                text = client.metrics_text()
-        assert "scheduler shard 0" in text
-        assert "scheduler shard 1" in text
-
-    def test_mark_failed_broadcast_and_per_shard(self):
-        service = ShardedSchedulerService(
-            [deployment(seed=40 + k) for k in range(2)],
-            config=ServiceConfig(),
-        )
-        with BackgroundServer(service) as bg:
-            with SchedulerClient(bg.host, bg.port) as client:
-                client.mark_failed([0])  # broadcast
-                assert all(
-                    svc.failed_disks == frozenset({0})
-                    for svc in service.services
-                )
-                client.mark_repaired([0])
-                client.mark_failed([1], shard=1)
-                assert service.services[0].failed_disks == frozenset()
-                assert service.services[1].failed_disks == frozenset({1})
-                with pytest.raises(BadRequestError, match="out of range"):
-                    client.mark_failed([0], shard=9)
+            with SchedulerClient(
+                bg.host, bg.port, retry=RetryPolicy(attempts=1)
+            ) as client:
+                rec = client.submit([(i, j) for i in range(3) for j in range(3)])
+                busy = next(iter(rec.assignment.values()))
+                client.mark_failed([busy])
+                horizons = list(service._busy_until)
+                with pytest.raises(InvalidQueryError, match="999"):
+                    client.mark_failed([(busy + 1) % 10, 999])
+                with pytest.raises(InvalidQueryError, match="999"):
+                    client.mark_repaired([busy, 999])
+                for op in ("mark_failed", "mark_repaired"):
+                    with pytest.raises(BadRequestError, match="shard"):
+                        client.request(op, {"disks": [busy], "shard": 0})
+                assert service.failed_disks == frozenset({busy})
+                assert service._busy_until == horizons
+                assert client.health()["status"] == "ok"
 
 
 # ----------------------------------------------------------------------

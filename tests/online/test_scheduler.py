@@ -258,6 +258,49 @@ class TestRepairEdgeCases:
         finally:
             svc.close()
 
+    def test_unknown_disk_in_a_list_changes_nothing(self, backend):
+        """``mark_*`` with one unknown id leaves the failed set, the busy
+        horizons, the in-flight plan and the clock exactly as they were
+        (no partial failure that skipped its re-plan)."""
+
+        def state(svc):
+            return (
+                svc.failed_disks,
+                list(svc._busy_until),
+                {
+                    q: (
+                        dict(f.assignment),
+                        {j: (p.at_ms, p.units) for j, p in f.pending.items()},
+                    )
+                    for q, f in svc._inflight.items()
+                },
+                svc.now_ms,
+                svc.online_stats(),
+            )
+
+        svc = make_online()
+        try:
+            rec = svc.submit(BIG, arrival_ms=0.0)
+            svc.submit(SMALL, arrival_ms=1.0)
+            busy = sorted(
+                range(len(rec.counts_per_disk)),
+                key=rec.counts_per_disk.__getitem__,
+            )
+            victim, other = busy[-1], busy[-2]
+            svc.mark_failed([victim])
+            before = state(svc)
+            assert before[2]  # work is in flight
+            with pytest.raises(StorageConfigError):
+                svc.mark_failed([other, 999])
+            assert state(svc) == before
+            with pytest.raises(StorageConfigError):
+                svc.mark_repaired([victim, 999])
+            assert state(svc) == before
+            svc.drain()
+            assert svc.online_stats().completed == 2
+        finally:
+            svc.close()
+
     def test_bucket_losing_every_replica_drops_flight(self, backend):
         svc = make_online()
         try:

@@ -1,9 +1,8 @@
 """The repro.api facade: one front door for every deployment shape.
 
-The four historical entry styles (one-shot solve, SchedulerService,
-ShardedSchedulerService, net clients) must all be reachable through
-``api.Scheduler`` with the *same* ``submit(query, *, deadline=None)``
-spelling.  The service classes are not re-exported from the top-level
+The three historical entry styles (one-shot solve, SchedulerService,
+net clients) must all be reachable through ``api.Scheduler`` with the
+*same* ``submit(query, *, deadline=None)`` spelling.  The service classes are not re-exported from the top-level
 ``repro`` package.
 """
 
@@ -43,11 +42,6 @@ class TestLocal:
             assert rec.num_buckets == 4
             assert sched.stats().queries == 2
 
-    def test_shard_kwarg_requires_sharded(self):
-        with api.Scheduler().local(*deployment()) as sched:
-            with pytest.raises(ValueError, match="sharded"):
-                sched.submit([(0, 0)], shard=0)
-
     def test_mark_failed_and_repaired(self):
         with api.Scheduler().local(*deployment()) as sched:
             sched.mark_failed([0])
@@ -75,33 +69,6 @@ class TestLocal:
         finally:
             s1.close()
             s2.close()
-
-
-class TestSharded:
-    def test_submit_routes_and_explicit_shard(self):
-        with api.Scheduler().sharded(
-            [deployment(0), deployment(1)]
-        ) as sched:
-            rec = sched.submit([(0, 0), (1, 1)])
-            assert rec.num_buckets == 2
-            rec = sched.submit([(2, 2)], shard=1)
-            assert rec.num_buckets == 1
-            assert sched.stats().queries == 2
-
-    def test_mark_failed_broadcasts(self):
-        with api.Scheduler().sharded(
-            [deployment(0), deployment(1)]
-        ) as sched:
-            sched.mark_failed([0])
-            assert all(
-                svc.failed_disks == frozenset({0})
-                for svc in sched.service.services
-            )
-            sched.mark_repaired([0])
-            assert all(
-                svc.failed_disks == frozenset()
-                for svc in sched.service.services
-            )
 
 
 class TestServeAndConnect:

@@ -9,8 +9,10 @@ import pytest
 
 from repro.decluster import make_placement
 from repro.errors import InfeasibleScheduleError, StorageConfigError
+from repro.obs.registry import MetricsRegistry
 from repro.service import SchedulerService, ServiceConfig
 from repro.service.scheduler import HISTORY_MAXLEN
+from repro.service.stats import merged_quantile
 from repro.storage import StorageSystem
 
 
@@ -118,6 +120,24 @@ class TestFailures:
         svc = make_service(time_fn=FakeClock())
         with pytest.raises(StorageConfigError):
             svc.mark_failed([99])
+
+    def test_unknown_disk_in_a_list_applies_nothing(self):
+        # every id is validated before any is applied: a bad id after a
+        # good one must not leave the good one failed or repaired
+        svc = make_service(time_fn=FakeClock())
+        rec = svc.submit([(i, j) for i in range(3) for j in range(3)])
+        busy = next(iter(rec.assignment.values()))
+        svc.mark_failed([busy])
+        horizons = list(svc._busy_until)
+        assert horizons[busy] > 0
+
+        with pytest.raises(StorageConfigError):
+            svc.mark_failed([(busy + 1) % 10, 999])
+        assert svc.failed_disks == frozenset({busy})
+        with pytest.raises(StorageConfigError):
+            svc.mark_repaired([busy, 999])
+        assert svc.failed_disks == frozenset({busy})
+        assert svc._busy_until == horizons
 
     def test_data_unavailable_propagates(self):
         svc = make_service(N=3, time_fn=FakeClock())
@@ -227,6 +247,34 @@ class TestQueryObjects:
         assert rec.query == coords
         assert rec.cache_hit in (False, True)
         assert rec.batch_size == 1
+
+
+class TestMergedQuantile:
+    """Pooling histograms across services (the cluster router's merge)."""
+
+    def test_merged_quantile_matches_pooled_histogram(self):
+        clock = FakeClock()
+        services = [make_service(time_fn=clock) for _ in range(2)]
+        ref = MetricsRegistry().histogram("ref_response_ms", "pooled")
+        for k in range(1, 13):
+            svc = services[k % 2]
+            rec = svc.submit([(i, k % 5) for i in range(1 + k % 4)])
+            ref.observe(rec.response_time_ms)
+            clock.t += 7.0
+        hists = [
+            svc.registry.get("repro_service_response_ms") for svc in services
+        ]
+        for q in (0.50, 0.95):
+            assert merged_quantile(hists, q) == pytest.approx(ref.quantile(q))
+
+    def test_merged_quantile_rejects_mismatched_buckets(self):
+        reg = MetricsRegistry()
+        a = reg.histogram("a_ms", "a", buckets=(1.0, 2.0))
+        b = reg.histogram("b_ms", "b", buckets=(1.0, 4.0))
+        a.observe(0.5)
+        b.observe(0.5)
+        with pytest.raises(ValueError, match="different buckets"):
+            merged_quantile([a, b], 0.5)
 
 
 class TestNewStats:
