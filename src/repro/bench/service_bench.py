@@ -1,10 +1,9 @@
 """The seeded two-site deployment the repository benchmark builds on.
 
 Only :func:`_build_deployment` lives here.  ``perfbench/`` (``common``,
-``inproc``, ``run`` and ``wire``), :mod:`repro.bench.soak_bench` and the
-fleet fault-injection tests import it from this path, so the function
-and the module path stay fixed for perfbench's sake: its deployments
-must not move.  A change to the benchmark itself may move the function
+``inproc``, ``run`` and ``wire``) and the fleet fault-injection tests
+import it from this path, so the function and the module path stay
+fixed for perfbench's sake: its deployments must not move.  A change to the benchmark itself may move the function
 somewhere more fitting and repoint those imports.
 """
 

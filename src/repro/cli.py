@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_req = sub.add_parser(
         "request",
-        help="send one RPC to a running `repro serve` or `repro cluster`",
+        help="send one RPC to a running `repro serve`",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "retry semantics (at-most-once submit):\n"
@@ -213,61 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(see the retry-semantics note below)")
     p_req.add_argument("--json", action="store_true",
                        help="print the raw result payload as JSON")
-
-    p_cluster = sub.add_parser(
-        "cluster",
-        help="launch N `repro serve` backends behind a routing proxy",
-    )
-    p_cluster.add_argument("--servers", type=int, default=2,
-                           help="backend `repro serve` processes to spawn")
-    p_cluster.add_argument("--host", default="127.0.0.1")
-    p_cluster.add_argument("--port", type=int, default=7410,
-                           help="router port (0 = ephemeral)")
-    p_cluster.add_argument("--scheme", default="orthogonal",
-                           choices=("rda", "dependent", "orthogonal"))
-    p_cluster.add_argument("--n", type=int, default=6, help="disks per site")
-    p_cluster.add_argument("--solver", default="pr-binary")
-    p_cluster.add_argument("--cache-size", type=int, default=64)
-    p_cluster.add_argument("--workers", type=int, default=1,
-                           help="solver fleet lanes per backend "
-                                "(>1 uses the process backend)")
-    p_cluster.add_argument("--max-inflight", type=int, default=32,
-                           help="per-backend submit capacity "
-                                "(the router caps at 8x this)")
-    p_cluster.add_argument("--retry-after-ms", type=float, default=50.0)
-    p_cluster.add_argument("--probe-interval-ms", type=float, default=200.0,
-                           help="health-probe cadence per backend")
-    p_cluster.add_argument("--ejection-ms", type=float, default=1500.0,
-                           help="eject a backend unreachable this long")
-    p_cluster.add_argument("--seed", type=int, default=0,
-                           help="deployment seed (same for every backend: "
-                                "the fleet must be replicas)")
-
-    p_soak = sub.add_parser(
-        "soak-bench",
-        help="open-loop soak of a routed cluster (req/s, shed, p99)",
-    )
-    p_soak.add_argument("--servers", type=int, default=2,
-                        help="in-process backend servers")
-    p_soak.add_argument("--users", type=int, default=200,
-                        help="simulated user population")
-    p_soak.add_argument("--queries", type=int, default=300,
-                        help="total arrivals to fire open-loop")
-    p_soak.add_argument("--think-time-ms", type=float, default=1000.0,
-                        help="mean per-user think time (offered load = "
-                             "users / think_time)")
-    p_soak.add_argument("--n", type=int, default=6, help="disks per site")
-    p_soak.add_argument("--solver", default="pr-binary")
-    p_soak.add_argument("--cache-size", type=int, default=64)
-    p_soak.add_argument("--workers", type=int, default=1,
-                        help="solver fleet lanes per backend")
-    p_soak.add_argument("--max-inflight", type=int, default=64,
-                        help="router submit capacity")
-    p_soak.add_argument("--seed", type=int, default=0)
-    p_soak.add_argument("--no-verify", action="store_true",
-                        help="skip the serial-replay transparency check")
-    p_soak.add_argument("--output", metavar="FILE.json", default=None,
-                        help="also write the result as JSON")
 
     from repro.lint import rule_catalog as _rule_catalog
 
@@ -822,74 +767,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings or stale else 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, run_cluster
-
-    if args.servers < 1:
-        print("--servers must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    serve_args = [
-        "--host", args.host,
-        "--scheme", args.scheme,
-        "--n", str(args.n),
-        "--solver", args.solver,
-        "--cache-size", str(args.cache_size),
-        "--workers", str(args.workers),
-        "--max-inflight", str(args.max_inflight),
-        "--retry-after-ms", str(args.retry_after_ms),
-        # every backend gets the SAME seed on purpose: the routing tier
-        # assumes replica deployments, so any signature can fail over
-        "--seed", str(args.seed),
-    ]
-    config = ClusterConfig(
-        host=args.host,
-        port=args.port,
-        probe_interval_ms=args.probe_interval_ms,
-        ejection_ms=args.ejection_ms,
-        retry_after_ms=args.retry_after_ms,
-        max_inflight=8 * args.max_inflight,
-    )
-    try:
-        return run_cluster(args.servers, serve_args, config)
-    except RuntimeError as exc:  # a backend failed to start
-        print(f"repro cluster: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_soak_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.soak_bench import format_soak_bench, run_soak_bench
-
-    try:
-        result = run_soak_bench(
-            servers=args.servers,
-            users=args.users,
-            queries=args.queries,
-            think_time_ms=args.think_time_ms,
-            n=args.n,
-            solver=args.solver,
-            cache_size=args.cache_size,
-            workers=args.workers,
-            max_inflight=args.max_inflight,
-            seed=args.seed,
-            verify=not args.no_verify,
-        )
-    except ValueError as exc:
-        print(f"repro soak-bench: {exc}", file=sys.stderr)
-        return 2
-    print(format_soak_bench(result))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"saved {args.output}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(build_parser().parse_args(argv))
@@ -972,10 +849,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     if args.command == "request":
         return _cmd_request(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "soak-bench":
-        return _cmd_soak_bench(args)
     if args.command == "profile":
         from repro.bench.profiling import profile_solver
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.decluster.multisite import MultiSitePlacement
-from repro.errors import InfeasibleScheduleError
+from repro.errors import InfeasibleScheduleError, WorkloadError
 from repro.storage.system import StorageSystem
 
 __all__ = ["RetrievalProblem"]
@@ -77,13 +77,31 @@ class RetrievalProblem:
         placement: MultiSitePlacement,
         bucket_coords: Sequence[tuple[int, int]],
     ) -> "RetrievalProblem":
-        """Build a problem from grid coordinates under a placement."""
+        """Build a problem from grid coordinates under a placement.
+
+        Coordinates wrap around the grid, as in
+        :meth:`~repro.decluster.grid.ReplicatedAllocation.replicas_of`.
+        Two coordinates that name the same bucket after wrapping raise
+        :class:`~repro.errors.WorkloadError`: the bucket would be
+        charged twice, yet the schedule's bucket map could show it once.
+        """
         if placement.total_disks != system.num_disks:
             raise InfeasibleScheduleError(
                 f"placement has {placement.total_disks} disks, "
                 f"system has {system.num_disks}"
             )
-        replicas_of = placement.allocation.replicas_of
+        allocation = placement.allocation
+        rows, cols = allocation.n_rows, allocation.n_cols
+        seen: set[tuple[int, int]] = set()
+        for (i, j) in bucket_coords:
+            bucket = (i % rows, j % cols)
+            if bucket in seen:
+                raise WorkloadError(
+                    f"duplicate bucket ({i},{j}): after wraparound it is "
+                    f"bucket ({bucket[0]},{bucket[1]}) again"
+                )
+            seen.add(bucket)
+        replicas_of = allocation.replicas_of
         reps = tuple([replicas_of(i, j) for (i, j) in bucket_coords])
         return cls(system, reps, labels=tuple(bucket_coords))
 

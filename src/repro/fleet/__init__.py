@@ -1,8 +1,8 @@
-"""repro.fleet — multi-process solve execution (breaking the GIL).
+"""repro.fleet — multi-process solve execution.
 
-The paper's parallel push–relabel claims (Figure 10) assume threads that
-actually run concurrently; CPython's are serialized by the GIL.  This
-package is the reproduction's escape hatch, with two layers:
+A process-backed service solves in worker processes instead of its own
+thread.  The service still calls the fleet under its lock, so one
+deployment's solves run one at a time either way.  Two layers:
 
 * :mod:`repro.fleet.codec` — problems and schedules as exact payloads
   that cross process boundaries without drift: flat

@@ -1,9 +1,9 @@
 """Event-loop protection: no blocking calls inside ``async def`` bodies.
 
-The asyncio front ends (``repro/net/`` and the ``repro/cluster/``
-routing tier) run every connection on one thread; a single synchronous
-``time.sleep``, socket call, or ``Lock.acquire`` stalls *all* clients.
-This rule walks each coroutine in those packages' modules and flags
+The asyncio front end (``repro/net/``) runs every connection on one
+thread; a single synchronous ``time.sleep``, socket call, or
+``Lock.acquire`` stalls *all* clients.
+This rule walks each coroutine in that package's modules and flags
 
 * direct calls to known blocking primitives (``time.sleep``, blocking
   ``socket``/``select``/``subprocess`` entry points, ``.acquire()`` on a
@@ -60,19 +60,19 @@ def _qual(fn: FunctionInfo) -> str:
 class AsyncBlockingRule(ProjectRule):
     """Flag blocking work reachable from coroutines on an event loop.
 
-    Applies to ``repro/net/`` and ``repro/cluster/`` — the two packages
-    whose coroutines share an event loop with every connected client.
+    Applies to ``repro/net/`` — the package whose coroutines share an
+    event loop with every connected client.
     """
 
     name = "async-blocking"
     description = (
-        "asyncio safety: coroutines under net/ and cluster/ must not call "
+        "asyncio safety: coroutines under net/ must not call "
         "blocking primitives (directly or transitively) or await while "
         "holding a sync lock"
     )
 
     #: directories whose coroutines run on a client-facing event loop
-    _ASYNC_DIRS = ("net/", "cluster/")
+    _ASYNC_DIRS = ("net/",)
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         graph = CallGraph.of(project)

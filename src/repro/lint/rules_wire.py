@@ -525,15 +525,14 @@ class WireContractRule(ProjectRule):
     # ------------------------------------------------------------------
     # exceptions crossing the wire
     # ------------------------------------------------------------------
-    _BOUNDARY_DIRS = ("service/", "online/", "fleet/", "cluster/")
+    _BOUNDARY_DIRS = ("service/", "online/", "fleet/")
 
     #: modules whose except clauses count as explicit wire mappings —
-    #: the scheduler server, its shared frame-server base, and the
-    #: cluster routing proxy all translate exceptions to wire codes
+    #: the scheduler server and its frame-server base translate
+    #: exceptions to wire codes
     _HANDLER_MODULES = (
         "net/server.py",
         "net/frameserver.py",
-        "cluster/router.py",
     )
 
     def _check_boundary_exceptions(self, project: Project) -> Iterator[Finding]:
@@ -606,9 +605,8 @@ class WireContractRule(ProjectRule):
                     message=(
                         f"'{name}' can cross the service/net boundary but is "
                         "neither a ReproError nor named in a wire-handler "
-                        "except clause (net/server.py, net/frameserver.py, "
-                        "cluster/router.py) — clients would see an opaque "
-                        "INTERNAL"
+                        "except clause (net/server.py, net/frameserver.py) "
+                        "— clients would see an opaque INTERNAL"
                     ),
                     hint=(
                         "derive it from ReproError or add an explicit "

@@ -1,11 +1,8 @@
 """Protocol-generic asyncio frame server: handshake, dispatch, drain.
 
-:class:`FrameServer` is the transport half of the RPC front end,
-factored out of :class:`~repro.net.server.SchedulerServer` so the
-cluster routing proxy (:class:`~repro.cluster.router.RoutingProxy`) can
-speak the identical length-prefixed protocol with the identical
-graceful-drain discipline.  It owns everything that is not
-service-specific:
+:class:`FrameServer` is the transport half of the RPC front end;
+:class:`~repro.net.server.SchedulerServer` adds the scheduler ops on
+top.  It owns everything that is not service-specific:
 
 * accepting connections and the ``hello`` handshake (subclasses set
   :attr:`server_name` and :attr:`ops` for the hello payload);

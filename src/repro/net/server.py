@@ -5,8 +5,8 @@
 length-prefixed JSON protocol in :mod:`repro.net.protocol`.  The
 transport half — handshake, per-connection read loop, one task per
 request, graceful drain — lives in the reusable
-:class:`~repro.net.frameserver.FrameServer` base (shared with the
-cluster routing proxy); this module adds what is scheduler-specific:
+:class:`~repro.net.frameserver.FrameServer` base; this module adds
+what is scheduler-specific:
 
 * **Admission control.**  At most ``max_inflight`` scheduling requests
   run at once; an arrival beyond that is *shed* with a typed
@@ -51,11 +51,7 @@ from repro.net.protocol import (
 )
 from repro.obs.export import to_prometheus
 from repro.service.scheduler import SchedulerService
-from repro.service.stats import (
-    ServiceRecord,
-    ServiceStats,
-    histogram_to_wire,
-)
+from repro.service.stats import ServiceRecord, ServiceStats
 
 __all__ = ["ServerConfig", "SchedulerServer", "OPS"]
 
@@ -83,7 +79,7 @@ def _reject_shard(params: dict[str, Any]) -> None:
     if params.get("shard") is not None:
         raise ProtocolError(
             "shard is not a parameter: a server schedules one deployment "
-            "(scale one deployment out with `repro cluster`)"
+            "(run one `repro serve` per deployment)"
         )
 
 
@@ -318,12 +314,6 @@ class SchedulerServer(FrameServer):
             "cache_hits": stats.cache_hits,
             "batches": stats.batches,
             "per_disk_buckets": list(stats.per_disk_buckets),
-            # pooled response-time buckets: lets a cluster router merge
-            # exact fleet-wide percentiles via merged_quantile instead
-            # of averaging per-backend quantiles (which do not add)
-            "response_histogram": histogram_to_wire(
-                [self.service.registry.get("repro_service_response_ms")]
-            ),
         }
 
     def metrics_text(self) -> str:

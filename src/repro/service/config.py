@@ -63,7 +63,11 @@ class ServiceConfig:
     solve_backend:
         Where solves execute: ``"thread"`` (in the calling thread — the
         historical behaviour) or ``"process"`` (a
-        :class:`~repro.fleet.SolveFleet` worker, escaping the GIL).
+        :class:`~repro.fleet.SolveFleet` worker).  Either way one
+        service's solves run one at a time under its lock: the process
+        backend takes the solve out of the serving process and gives
+        each lane its own warm cache, it does not run solves
+        concurrently.
         ``None`` defers to the ``REPRO_SOLVE_BACKEND`` environment
         variable, defaulting to ``"thread"`` — which is how CI matrixes
         the whole fast suite over both backends with zero code changes.

@@ -131,9 +131,10 @@ class SchedulerService:
         self._warmable = bool(getattr(solver, "supports_warm_start", False))
 
         # solve backend: "thread" solves in the calling thread;
-        # "process" routes every solve into a SolveFleet worker (the GIL
-        # escape) that this service builds, owns and closes.  Imported
-        # lazily so thread-backed services never load the fleet.
+        # "process" routes every solve into a SolveFleet worker that
+        # this service builds, owns and closes.  Both run under
+        # self._lock, one solve at a time.  Imported lazily so
+        # thread-backed services never load the fleet.
         self.solve_backend = config.resolved_solve_backend()
         self._fleet: SolveFleet | None = None
         if self.solve_backend == "process":

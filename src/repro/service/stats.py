@@ -1,182 +1,15 @@
-"""Service outcome records, lifetime aggregates, and quantile merging.
+"""Service outcome records and lifetime aggregates.
 
-Besides the per-query :class:`ServiceRecord` and the rolling
-:class:`ServiceStats`, this module owns the math for combining
-response-time distributions across independent services:
-:func:`merged_quantile` pools histogram buckets (quantiles do not add),
-and :class:`WireHistogram` / :func:`histogram_to_wire` carry those
-buckets over the RPC protocol so a cluster router can merge backend
-distributions without access to the backends' registries.
+The per-query :class:`ServiceRecord` and the rolling
+:class:`ServiceStats` a :class:`~repro.service.SchedulerService`
+reports.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
 
-__all__ = [
-    "ServiceRecord",
-    "ServiceStats",
-    "merged_quantile",
-    "histogram_to_wire",
-    "WireHistogram",
-]
-
-
-class HistogramLike(Protocol):
-    """The slice of :class:`repro.obs.registry.Histogram` merging needs."""
-
-    bounds: tuple[float, ...]
-
-    @property
-    def count(self) -> int: ...
-
-    def bucket_counts(self) -> list[tuple[float, int]]: ...
-
-    def summary(self) -> Any: ...  # needs .count and .max
-
-
-def merged_quantile(
-    histograms: Sequence[HistogramLike | None], q: float
-) -> float:
-    """The ``q``-quantile of several histograms' pooled observations.
-
-    Decumulates each histogram's ``bucket_counts()`` into shared per-bucket
-    counts (the bucket bounds must match, which holds for every service's
-    ``repro_service_response_ms``), then interpolates exactly like
-    :meth:`~repro.obs.registry.Histogram.quantile`.  Accepts real
-    :class:`~repro.obs.registry.Histogram` objects and
-    :class:`WireHistogram` snapshots interchangeably.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    live = [h for h in histograms if h is not None and h.count]
-    if not live:
-        return 0.0
-    bounds = live[0].bounds
-    for h in live[1:]:
-        if h.bounds != bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-    counts = [0] * (len(bounds) + 1)
-    total = 0
-    observed_max = 0.0
-    for h in live:
-        cum_prev = 0
-        for i, (_ub, cum) in enumerate(h.bucket_counts()):
-            counts[i] += cum - cum_prev
-            cum_prev = cum
-        s = h.summary()
-        total += s.count
-        observed_max = max(observed_max, s.max)
-    rank = q * total
-    cum = 0.0
-    lower = 0.0
-    for ub, c in zip(bounds, counts):
-        if c and cum + c >= rank:
-            frac = max(0.0, rank - cum) / c
-            return lower + frac * (ub - lower)
-        cum += c
-        lower = ub
-    return observed_max
-
-
-def histogram_to_wire(
-    histograms: Sequence[HistogramLike | None],
-) -> dict[str, Any]:
-    """Pool one or more histograms into a JSON-safe bucket snapshot.
-
-    The payload carries finite bucket bounds, non-cumulative per-bucket
-    counts (the trailing entry is the ``+Inf`` overflow bucket), and the
-    pooled count/max — everything :class:`WireHistogram` needs to take
-    part in :func:`merged_quantile` on the far side of an RPC.
-    """
-    live = [h for h in histograms if h is not None and h.count]
-    if not live:
-        return {"bounds": [], "counts": [], "count": 0, "max": 0.0}
-    bounds = live[0].bounds
-    counts = [0] * (len(bounds) + 1)
-    total = 0
-    observed_max = 0.0
-    for h in live:
-        if h.bounds != bounds:
-            raise ValueError("cannot pool histograms with different buckets")
-        cum_prev = 0
-        for i, (_ub, cum) in enumerate(h.bucket_counts()):
-            counts[i] += cum - cum_prev
-            cum_prev = cum
-        s = h.summary()
-        total += s.count
-        observed_max = max(observed_max, s.max)
-    return {
-        "bounds": list(bounds),
-        "counts": counts,
-        "count": total,
-        "max": observed_max,
-    }
-
-
-@dataclass(frozen=True)
-class _WireSummary:
-    count: int
-    max: float
-
-
-class WireHistogram:
-    """A histogram snapshot reconstructed from a wire stats payload.
-
-    Implements exactly the protocol :func:`merged_quantile` consumes, so
-    a router can pool per-backend ``response_histogram`` payloads and
-    interpolate fleet-wide percentiles without importing the metrics
-    registry or holding any backend lock.
-    """
-
-    def __init__(
-        self, bounds: Sequence[float], counts: Sequence[int],
-        count: int, max_value: float,
-    ) -> None:
-        if len(counts) != len(bounds) + 1:
-            raise ValueError(
-                f"expected {len(bounds) + 1} bucket counts, got {len(counts)}"
-            )
-        self.bounds = tuple(float(b) for b in bounds)
-        self._counts = [int(c) for c in counts]
-        self._count = int(count)
-        self._max = float(max_value)
-
-    @classmethod
-    def from_wire(cls, payload: Any) -> "WireHistogram | None":
-        """Parse a ``response_histogram`` payload; ``None`` if absent/empty."""
-        if not isinstance(payload, dict):
-            return None
-        bounds = payload.get("bounds")
-        counts = payload.get("counts")
-        if not isinstance(bounds, list) or not isinstance(counts, list):
-            return None
-        if not bounds or len(counts) != len(bounds) + 1:
-            return None
-        return cls(
-            bounds,
-            counts,
-            int(payload.get("count", 0)),
-            float(payload.get("max", 0.0)),
-        )
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        out: list[tuple[float, int]] = []
-        cum = 0
-        for ub, c in zip(self.bounds, self._counts):
-            cum += c
-            out.append((ub, cum))
-        out.append((math.inf, cum + (self._counts[-1] if self._counts else 0)))
-        return out
-
-    def summary(self) -> _WireSummary:
-        return _WireSummary(count=self._count, max=self._max)
+__all__ = ["ServiceRecord", "ServiceStats"]
 
 
 @dataclass(frozen=True)

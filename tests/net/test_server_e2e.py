@@ -484,12 +484,13 @@ class TestWireEdgeCases:
                 with pytest.raises(InvalidQueryError, match="non-decreasing"):
                     # scheduler-level rejection: arrival time regression
                     client.submit([(1, 1)], arrival_ms=10.0)
-                with pytest.raises(BadRequestError, match="shard"):
+                with pytest.raises(BadRequestError, match="shard") as exc:
                     # the retired shard param is refused, not ignored
                     client.request(
                         "submit",
                         {"query": query_to_wire([(0, 0)]), "shard": 1},
                     )
+                assert "one `repro serve` per deployment" in str(exc.value)
                 # the connection survived all three errors
                 assert client.health()["status"] == "ok"
 
@@ -514,6 +515,23 @@ class TestWireEdgeCases:
                     {"query": {"kind": "coords", "coords": [[2.0, 0.0]]}},
                 )
                 assert client.health()["status"] == "ok"
+
+    def test_repeated_bucket_is_invalid_query(self):
+        """A coordinate list naming one bucket twice is refused whole.
+
+        ``(N, N)`` wraps to ``(0, 0)``: scheduled, the bucket would be
+        charged three times while the record's bucket map shows two.
+        """
+        with BackgroundServer(make_service(seed=8)) as bg:
+            with SchedulerClient(
+                bg.host, bg.port, retry=RetryPolicy(attempts=1)
+            ) as client:
+                with pytest.raises(InvalidQueryError, match="duplicate bucket"):
+                    client.submit([(0, 0), (0, 0), (N, N)])
+                stats = client.stats()
+                assert (stats["queries"], stats["buckets"]) == (0, 0)
+                rec = client.submit([(0, 0), (N - 1, N - 1)])
+                assert rec.num_buckets == len(rec.assignment) == 2
 
     def test_concurrent_requests_multiplex_one_connection(self):
         queries = make_queries(21, 10)
@@ -552,6 +570,9 @@ class TestObservability:
                 stats = client.stats()
                 assert stats["queries"] == 1
                 assert stats["mean_response_ms"] > 0
+                # one deployment per server: no histogram for a router
+                # to pool across servers rides the reply
+                assert "response_histogram" not in stats
                 text = client.metrics_text()
         assert "repro_net_requests_total" in text
         assert "repro_net_request_ms" in text

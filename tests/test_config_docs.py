@@ -15,14 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.config import ClusterConfig
 from repro.net.server import ServerConfig
 from repro.online.config import OnlineConfig
 from repro.service.config import ServiceConfig
 
 API_MD = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
-CONFIGS = [ServiceConfig, OnlineConfig, ServerConfig, ClusterConfig]
+CONFIGS = [ServiceConfig, OnlineConfig, ServerConfig]
 
 
 @pytest.fixture(scope="module")

@@ -108,3 +108,25 @@ class TestErrorHierarchy:
 
         with pytest.raises(ReproError):
             RetrievalProblem(StorageSystem.homogeneous(2, "cheetah"), ())
+
+
+class TestOneSchedulerPerDeployment:
+    """The cluster tier is gone: one scheduler per deployment."""
+
+    @pytest.mark.parametrize(
+        "module", ["repro.cluster", "repro.service.signature"]
+    )
+    def test_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("command", ["cluster", "soak-bench"])
+    def test_cli_command_is_gone(self, command, capsys):
+        from repro.cli import main
+
+        # --help keeps a build that still has the command from
+        # launching it: there it exits 0 instead of 2
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from repro.decluster import make_placement
-from repro.errors import InfeasibleScheduleError, StorageConfigError
-from repro.obs.registry import MetricsRegistry
+from repro.errors import (
+    InfeasibleScheduleError,
+    StorageConfigError,
+    WorkloadError,
+)
 from repro.service import SchedulerService, ServiceConfig
 from repro.service.scheduler import HISTORY_MAXLEN
-from repro.service.stats import merged_quantile
 from repro.storage import StorageSystem
 
 
@@ -240,6 +242,17 @@ class TestQueryObjects:
         assert rec.num_buckets == 2
         assert rec.query is q
 
+    def test_repeated_bucket_is_rejected_after_wraparound(self):
+        svc = make_service(time_fn=FakeClock())  # N=5
+        with pytest.raises(WorkloadError, match="duplicate bucket"):
+            svc.submit([(0, 0), (0, 0), (5, 5)])
+        with pytest.raises(WorkloadError, match="duplicate bucket"):
+            svc.submit([(0, 0), (5, 5)])  # (5, 5) wraps to (0, 0)
+        st = svc.stats()
+        assert (st.queries, st.buckets) == (0, 0)
+        rec = svc.submit([(0, 0), (4, 4)])
+        assert rec.num_buckets == len(rec.assignment) == 2
+
     def test_raw_coords_recorded_on_record(self):
         svc = make_service(time_fn=FakeClock())
         coords = [(0, 0), (1, 1)]
@@ -247,34 +260,6 @@ class TestQueryObjects:
         assert rec.query == coords
         assert rec.cache_hit in (False, True)
         assert rec.batch_size == 1
-
-
-class TestMergedQuantile:
-    """Pooling histograms across services (the cluster router's merge)."""
-
-    def test_merged_quantile_matches_pooled_histogram(self):
-        clock = FakeClock()
-        services = [make_service(time_fn=clock) for _ in range(2)]
-        ref = MetricsRegistry().histogram("ref_response_ms", "pooled")
-        for k in range(1, 13):
-            svc = services[k % 2]
-            rec = svc.submit([(i, k % 5) for i in range(1 + k % 4)])
-            ref.observe(rec.response_time_ms)
-            clock.t += 7.0
-        hists = [
-            svc.registry.get("repro_service_response_ms") for svc in services
-        ]
-        for q in (0.50, 0.95):
-            assert merged_quantile(hists, q) == pytest.approx(ref.quantile(q))
-
-    def test_merged_quantile_rejects_mismatched_buckets(self):
-        reg = MetricsRegistry()
-        a = reg.histogram("a_ms", "a", buckets=(1.0, 2.0))
-        b = reg.histogram("b_ms", "b", buckets=(1.0, 4.0))
-        a.observe(0.5)
-        b.observe(0.5)
-        with pytest.raises(ValueError, match="different buckets"):
-            merged_quantile([a, b], 0.5)
 
 
 class TestNewStats:
