@@ -2,7 +2,7 @@
 
 Wall-clock comparisons inherit machine noise; operation counts do not.
 This study aggregates each solver's probes, certified midpoints,
-capacity increments, pushes, relabels and augmentations over a shared
+cut-certified points, capacity increments, pushes, relabels and augmentations over a shared
 query batch — the noise-free form of the paper's flow-conservation
 argument (the black box must redo from zero the pushes the integrated
 algorithm conserves).
@@ -30,6 +30,7 @@ class WorkProfile:
     relabels: int
     augmentations: int
     certified: int = 0
+    cut_certified: int = 0
 
     @property
     def pushes_per_query(self) -> float:
@@ -69,12 +70,14 @@ def work_profile_study(
     reference: list[float] | None = None
     for name in solvers:
         solver = get_solver(name)
-        probes = certified = increments = pushes = relabels = augments = 0
+        probes = certified = cut_certified = increments = 0
+        pushes = relabels = augments = 0
         optima: list[float] = []
         for p in problems:
             sched = solver.solve(p)
             probes += sched.stats.probes
             certified += sched.stats.certified
+            cut_certified += sched.stats.cut_certified
             increments += sched.stats.increments
             pushes += sched.stats.pushes
             relabels += sched.stats.relabels
@@ -96,5 +99,6 @@ def work_profile_study(
             relabels=relabels,
             augmentations=augments,
             certified=certified,
+            cut_certified=cut_certified,
         )
     return out

@@ -374,6 +374,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"{args.load}), scheme {args.scheme}, N={args.n}/site"
     )
     print(schedule.summary())
+    st = schedule.stats
+    print(
+        f"search: {st.probes} max-flow probes, {st.certified} certified "
+        f"feasible, {st.cut_certified} cut-certified infeasible, "
+        f"{st.increments} increments"
+    )
     print(f"wall time: {schedule.stats.wall_time_s * 1000:.3f} ms")
     counts = schedule.counts_per_disk()
     print("per-disk bucket counts:", counts)
@@ -502,10 +508,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         out = work_profile_study(args.experiment, args.scheme, args.n,
                                  args.qtype, args.load, **common)
         print(format_table(
-            ["solver", "probes", "certified", "increments", "pushes",
-             "relabels", "augments"],
-            [[k, v.probes, v.certified, v.increments, v.pushes, v.relabels,
-              v.augmentations] for k, v in out.items()],
+            ["solver", "probes", "certified", "cut certified",
+             "increments", "pushes", "relabels", "augments"],
+            [[k, v.probes, v.certified, v.cut_certified, v.increments,
+              v.pushes, v.relabels, v.augmentations]
+             for k, v in out.items()],
         ))
     return 0
 
@@ -592,19 +599,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_tuple(flag: str, text: str, arity: int) -> tuple[int, ...]:
+    """``text`` as ``arity`` comma-separated integers; a ``ValueError``
+    that names ``flag`` and the bad text otherwise."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != arity:
+        raise ValueError(
+            f"{flag}: expected {arity} comma-separated integers, got {text!r}"
+        )
+    return values
+
+
 def _parse_request_query(args: argparse.Namespace):
     from repro.workloads.queries import RangeQuery
 
     if (args.coords is None) == (args.range_q is None):
         raise ValueError("submit needs exactly one of --coords / --range")
     if args.coords is not None:
-        coords = []
-        for pair in args.coords.split(";"):
-            i, j = (int(x) for x in pair.split(","))
-            coords.append((i, j))
-        return coords
-    i, j, r, c, n = (int(x) for x in args.range_q.split(","))
-    return RangeQuery(i, j, r, c, n)
+        return [
+            _int_tuple("--coords", pair, 2) for pair in args.coords.split(";")
+        ]
+    return RangeQuery(*_int_tuple("--range", args.range_q, 5))
 
 
 def _cmd_request(args: argparse.Namespace) -> int:

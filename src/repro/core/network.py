@@ -192,7 +192,11 @@ class RetrievalNetwork:
         """Set every disk→sink capacity to ``cap`` (basic problem)."""
         self.graph.cap[self._sink_cap_slice] = [cap] * len(self.sink_arcs)
 
-    def set_deadline_capacities(self, deadline_ms: float) -> None:
+    def set_deadline_capacities(
+        self,
+        deadline_ms: float,
+        terms: list[tuple[float, float, float, float]] | None = None,
+    ) -> None:
         """Capacities for candidate response time ``deadline_ms``
         (Algorithm 6 lines 14-15).
 
@@ -201,8 +205,10 @@ class RetrievalNetwork:
         the whole vector lands in one strided slice assignment (the
         disk→sink forward slots are an arithmetic run by construction)
         instead of a per-disk Python loop — this runs inside *every*
-        feasibility probe of the scaling skeleton."""
-        caps = self.problem.system.capacities_at(deadline_ms)
+        feasibility probe of the scaling skeleton, which passes the
+        per-solve :meth:`~repro.storage.StorageSystem.rescale_terms`
+        snapshot as ``terms``."""
+        caps = self.problem.system.capacities_at(deadline_ms, terms)
         self.graph.cap[self._sink_cap_slice] = caps
 
     def increment_all_sink_caps(self) -> None:

@@ -17,12 +17,14 @@ zeroes the flow and solves from scratch — which is exactly the paper's
 framing of the two families, so this module expresses the difference as a
 :class:`Prober` strategy object.
 
-Defensive deviation (documented in DESIGN.md): the paper subtracts
+The anchor probe (documented in DESIGN.md): the paper subtracts
 ``min_speed`` from the closed-form ``tmin`` to "ensure that there is no
-solution for tmin", but that is a heuristic, not a proof.  We *probe*
-``tmin`` first; in the (rare) case it is already feasible, the bracket is
-re-anchored to ``[0, tmin]`` so the binary search always starts from an
-infeasible lower end and optimality is unconditional.
+solution for tmin".  That is a proof up to float rounding: with ``p =
+ceil(|Q|/N)``, every disk finishes ``p`` buckets no earlier than ``tmin
++ min_speed``, so ``sum(capacities_at(tmin)) <= N (p - 1) < |Q|``.  The
+skeleton still probes ``tmin`` first, because that probe's flow is the
+first stored flow; if rounding ever made it feasible, the bracket is
+re-anchored to ``[0, tmin]`` so optimality stays unconditional.
 
 Certified midpoints (also in DESIGN.md): the closed-form ``tmax`` is
 loose, so many midpoints are feasible, and a feasible probe's only
@@ -36,6 +38,21 @@ step a flow-conserving prober's state already equals the stored
 snapshot (and a black-box probe starts from zero anyway), so eliding
 the probe changes no later probe, no bracket end and no schedule, only
 the operation counts.
+
+Cut-certified points (also in DESIGN.md): the infeasible-side twin.
+After every infeasible probe the skeleton records the flow value ``F``
+and the capacities of the disks whose sink arc that flow saturates
+(:class:`StoredCut`).  Those disks hold every disk on the source side of
+the flow's minimum cut, so while none of them gains capacity the cut
+keeps value ``F < |Q|`` and the stored flow stays maximum: an anchor,
+binary or increment point at such capacities is answered infeasible
+with value ``F`` and no max-flow run.  A re-run would hand back the
+same flow (exact-height push–relabel returns every re-injected unit
+straight to the source, Ford–Fulkerson finds no augmenting path, the
+black box restarts from zero anyway), so the schedules do not change.
+A network whose sink capacities are all zero carries the zero flow,
+which is maximum there: a fresh network starts with every disk recorded
+at capacity 0 and ``F = 0``.
 """
 
 from __future__ import annotations
@@ -53,7 +70,7 @@ from repro.core.schedule import RetrievalSchedule, SolverStats
 from repro.graph.flownetwork import FlowNetwork
 from repro.obs.trace import active_trace
 
-__all__ = ["Prober", "binary_scaling_solve", "incremental_solve"]
+__all__ = ["Prober", "StoredCut", "binary_scaling_solve", "incremental_solve"]
 
 
 class Prober(abc.ABC):
@@ -176,6 +193,63 @@ def _certify(
         monitor.after_certified(t, counts)
 
 
+class StoredCut:
+    """The saturated sink arcs of the stored infeasible flow.
+
+    ``arcs`` are the disk→sink arcs the flow saturates, ``caps`` their
+    capacities when it was recorded and ``flow`` its value ``F``.  The
+    flow stays maximum, with value ``F``, at every capacity vector that
+    keeps ``caps`` on ``arcs`` and admits the flow elsewhere (the
+    skeleton only ever raises capacities above a stored flow's).
+    """
+
+    __slots__ = ("arcs", "caps", "flow")
+
+    def __init__(self, arcs: list[int], caps: list[int], flow: int) -> None:
+        self.arcs = arcs
+        self.caps = caps
+        self.flow = flow
+
+    @classmethod
+    def zero(cls, network: RetrievalNetwork) -> "StoredCut":
+        """The zero flow: maximum while every sink capacity is 0."""
+        arcs = network.sink_arcs
+        return cls(arcs, [0] * len(arcs), 0)
+
+    @classmethod
+    def saturated(cls, network: RetrievalNetwork, flow: int) -> "StoredCut":
+        """Record the network's current (maximum) flow of value ``flow``."""
+        g = network.graph
+        cap, fl = g.cap, g.flow
+        arcs = [a for a in network.sink_arcs if fl[a] == cap[a]]
+        return cls(arcs, [cap[a] for a in arcs], flow)
+
+    def holds(self, cap: list[int]) -> bool:
+        """Whether every recorded arc still has its recorded capacity."""
+        return [cap[a] for a in self.arcs] == self.caps
+
+
+def _cut_certify(
+    stats: SolverStats,
+    t: float,
+    phase: str,
+    cut: StoredCut,
+    monitor: invariants.ProbeMonitor | None,
+) -> None:
+    """Answer the ``phase`` point ``t`` infeasible from the stored cut.
+
+    Recorded as a ``cut_certified`` trace event (no operations, no wall
+    time); ``monitor`` (armed sanitizer only) checks the recorded
+    capacities and the value ``F`` against an independent max flow.
+    """
+    stats.cut_certified += 1
+    trace = active_trace()
+    if trace is not None:
+        trace.record(phase="cut_certified", t=t, flow=cut.flow, feasible=False)
+    if monitor is not None:
+        monitor.after_cut_certified(t, phase, cut.arcs, cut.caps, cut.flow)
+
+
 def binary_scaling_solve(
     problem: RetrievalProblem,
     prober: Prober,
@@ -204,20 +278,30 @@ def binary_scaling_solve(
     prober.attach(net)
     monitor = invariants.ProbeMonitor(net) if invariants.ENABLED else None
     Q = problem.num_buckets
+    cap = net.graph.cap
+    # a valid flow within all-zero sink capacities is the zero flow
+    cut = StoredCut.zero(net) if not any(net.sink_caps()) else None
+    terms = problem.system.rescale_terms()
 
     # lines 1-11: bracket the optimum
     tmin = problem.theoretical_min_deadline()
     tmax = problem.theoretical_max_deadline()
     min_speed = problem.min_speed()
 
-    # defensive anchor probe at tmin (see module docstring)
-    net.set_deadline_capacities(tmin)
+    # anchor probe at tmin (see module docstring)
+    net.set_deadline_capacities(tmin, terms)
     if warm:
         net.clamp_flow_to_sink_caps()
-    flow = _probe(prober, stats, Q, tmin, "anchor", monitor)
-    if flow >= Q:
-        tmax, tmin = tmin, 0.0
-        prober.reset_flow()
+    if cut is not None and cut.holds(cap):
+        _cut_certify(stats, tmin, "anchor", cut, monitor)
+    else:
+        flow = _probe(prober, stats, Q, tmin, "anchor", monitor)
+        if flow >= Q:
+            tmax, tmin = tmin, 0.0
+            prober.reset_flow()
+            cut = StoredCut.zero(net)
+        else:
+            cut = StoredCut.saturated(net, flow)
     saved = prober.save()
 
     # upper-bound certificate: the greedy assignment fits every t >= bound
@@ -231,7 +315,12 @@ def binary_scaling_solve(
             _certify(stats, Q, tmid, counts, monitor)
             tmax = tmid
             continue
-        net.set_deadline_capacities(tmid)
+        net.set_deadline_capacities(tmid, terms)
+        if cut.holds(cap):
+            # a probe here would return the stored flow: skip it
+            _cut_certify(stats, tmid, "binary", cut, monitor)
+            tmin = tmid
+            continue
         flow = _probe(prober, stats, Q, tmid, "binary", monitor)
         if flow >= Q:
             # feasible but maybe not optimal: back off to the stored flow
@@ -242,15 +331,16 @@ def binary_scaling_solve(
             # infeasible: this flow is valid at every larger deadline
             if prober.conserves_flow:
                 saved = prober.save()
+            cut = StoredCut.saturated(net, flow)
             tmin = tmid
 
     # lines 38-42: finish from tmin with min-cost increments
     if prober.conserves_flow:
         prober.restore(saved)
-    net.set_deadline_capacities(tmin)
+    net.set_deadline_capacities(tmin, terms)
     schedule = incremental_solve(
         problem, prober, solver_name, stats=stats, network=net,
-        entry_deadline=tmin,
+        entry_deadline=tmin, cut=cut,
     )
     return schedule
 
@@ -263,6 +353,7 @@ def incremental_solve(
     stats: SolverStats | None = None,
     network: RetrievalNetwork | None = None,
     entry_deadline: float = 0.0,
+    cut: StoredCut | None = None,
 ) -> RetrievalSchedule:
     """Algorithm 5's outer loop: probe, then increment-min-cost until |Q|.
 
@@ -271,11 +362,14 @@ def incremental_solve(
     pre-scaled by the caller; ``entry_deadline`` is the deadline those
     capacities encode, recorded as the first increment-phase probe's
     candidate ``t`` — every later candidate, being a min-cost finish time
-    *above* the scaled capacities, is strictly larger).
+    *above* the scaled capacities, is strictly larger).  ``cut`` is the
+    caller's record of its stored infeasible flow; a point where it holds
+    is answered without a probe (see the module docstring).
     """
     if network is None:
         network = RetrievalNetwork(problem)
         prober.attach(network)
+        cut = StoredCut.zero(network)
     if stats is None:
         stats = SolverStats()
     Q = problem.num_buckets
@@ -285,12 +379,18 @@ def incremental_solve(
         invariants.ProbeMonitor(network) if invariants.ENABLED else None
     )
 
+    cap = network.graph.cap
     t_cur = entry_deadline
-    flow = _probe(prober, stats, Q, t_cur, "increment", monitor)
-    while flow < Q:
+    while True:
+        if cut is not None and cut.holds(cap):
+            _cut_certify(stats, t_cur, "increment", cut, monitor)
+        else:
+            flow = _probe(prober, stats, Q, t_cur, "increment", monitor)
+            if flow >= Q:
+                break
+            cut = StoredCut.saturated(network, flow)
         t_cur = inc.increment()
         stats.increments += 1
-        flow = _probe(prober, stats, Q, t_cur, "increment", monitor)
 
     prober.harvest(stats)
     assignment = network.assignment()

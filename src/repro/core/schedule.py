@@ -25,8 +25,12 @@ class SolverStats:
     certified:
         Binary-scaling midpoints answered feasible from the greedy
         upper-bound certificate instead of a max-flow run (see
-        :mod:`repro.core.scaling`); ``probes + certified`` is the
-        number of points the search visited.
+        :mod:`repro.core.scaling`).
+    cut_certified:
+        Anchor, binary-scaling and increment points answered infeasible
+        from the stored flow's saturated cut instead of a max-flow run
+        (see :mod:`repro.core.scaling`); ``probes + certified +
+        cut_certified`` is the number of points the search visited.
     increments:
         ``IncrementMinCost`` / uniform-increment steps performed.
     pushes, relabels, augmentations:
@@ -37,6 +41,7 @@ class SolverStats:
 
     probes: int = 0
     certified: int = 0
+    cut_certified: int = 0
     increments: int = 0
     pushes: int = 0
     relabels: int = 0

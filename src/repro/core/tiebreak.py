@@ -86,6 +86,7 @@ def solve_min_work(
     stats = SolverStats(
         probes=baseline.stats.probes + 1,
         certified=baseline.stats.certified,
+        cut_certified=baseline.stats.cut_certified,
         increments=baseline.stats.increments,
         pushes=baseline.stats.pushes,
         relabels=baseline.stats.relabels,

@@ -286,7 +286,8 @@ def decode_problem(payload: dict[str, Any]) -> RetrievalProblem:
 # ----------------------------------------------------------------------
 #: SolverStats counter fields shipped across the boundary, in order
 _STATS_COUNTERS = (
-    "probes", "certified", "increments", "pushes", "relabels", "augmentations",
+    "probes", "certified", "cut_certified", "increments", "pushes",
+    "relabels", "augmentations",
 )
 
 

@@ -12,6 +12,9 @@ invariants hold:
 * **certificate soundness** — a binary-scaling midpoint answered
   feasible without a probe must admit the greedy assignment that
   certified it: its per-disk counts fit ``capacities_at(t)``;
+* **cut soundness** — a point answered infeasible from the stored
+  flow's saturated cut must keep every recorded capacity, and an
+  independent max flow at its capacities must equal the stored value;
 * **probe monotonicity** — feasibility of a candidate deadline ``t`` is
   monotone: once some ``t`` probes feasible, no larger ``t`` may probe
   infeasible (the property binary scaling searches over);
@@ -219,7 +222,8 @@ class ProbeMonitor:
     recorded; a feasible probe below an infeasible one is a monotonicity
     violation.  Increment-phase probes are validity-checked only — their
     capacities are not parameterised by ``t``.  Certified midpoints
-    (:meth:`after_certified`) count as feasible deadline observations.
+    (:meth:`after_certified`) count as feasible deadline observations,
+    cut-certified points (:meth:`after_cut_certified`) as infeasible ones.
     """
 
     #: phases whose capacities encode the probed deadline
@@ -249,6 +253,38 @@ class ProbeMonitor:
             f"certified midpoint t={t}",
         )
         self._observe_deadline(t, True)
+
+    def after_cut_certified(
+        self, t: float, phase: str, arcs: list[int], caps: list[int],
+        flow: int,
+    ) -> None:
+        """A ``phase`` point answered infeasible from the stored cut.
+
+        The recorded sink arcs must still have their recorded
+        capacities, and Dinic's max flow on a zeroed copy of the network
+        must equal the stored value ``flow``.
+        """
+        from repro.maxflow.dinic import dinic
+
+        self.observations.append((t, False, "cut_certified"))
+        net = self.network
+        g = net.graph
+        context = f"cut-certified {phase} point t={t}"
+        for a, c in zip(arcs, caps):
+            if g.cap[a] != c:
+                raise InvariantViolation(
+                    f"{context}: recorded sink arc {a} had capacity {c}, "
+                    f"now {g.cap[a]}"
+                )
+        copy = g.copy()
+        value = dinic(copy, net.source, net.sink).value
+        if value != flow:
+            raise InvariantViolation(
+                f"{context}: stored flow value {flow} but the max flow "
+                f"at these capacities is {value}"
+            )
+        if phase in self.DEADLINE_PHASES:
+            self._observe_deadline(t, False)
 
     def _observe_deadline(self, t: float, feasible: bool) -> None:
         if feasible:

@@ -53,6 +53,8 @@ topology's cached list mirrors and the builder's value lists.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro import invariants
 from repro.graph.flownetwork import FlowNetwork
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
@@ -245,10 +247,14 @@ class CsrPushRelabelState:
         excess[s] = 0
         queue = self.queue
         if preserve_flow:
-            for v in range(n):
-                if excess[v] > 0 and v != t:
-                    queue.append(v)
-                    in_queue[v] = 1
+            # the active vertices in vertex order: compress skips the
+            # zero excesses at C speed, so Python only visits the rest
+            queue += [
+                v for v in compress(range(n), excess)
+                if excess[v] > 0 and v != t
+            ]
+            for v in queue:
+                in_queue[v] = 1
         else:
             # cold start: only source-arc heads can hold excess, and the
             # precomputed ascending seed order equals the full scan's

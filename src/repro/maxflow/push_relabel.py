@@ -36,6 +36,8 @@ This is the engine inside the paper's Algorithms 4, 5 and 6.  Design notes:
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro import invariants
 from repro.graph.flownetwork import FlowNetwork
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
@@ -196,12 +198,14 @@ class PushRelabelState:
 
         # Algorithm 5 line 14: the source's (negative) excess is irrelevant.
         excess[s] = 0
-        self.queue = queue = []
+        # the active vertices in vertex order: compress skips the zero
+        # excesses at C speed, so Python only visits the nonzero ones
+        self.queue = queue = [
+            v for v in compress(range(n), excess) if excess[v] > 0 and v != t
+        ]
         in_queue = self.in_queue = bytearray(n)
-        for v in range(n):
-            if excess[v] > 0 and v != t:
-                queue.append(v)
-                in_queue[v] = 1
+        for v in queue:
+            in_queue[v] = 1
 
         if self.initial_heights == "zero":
             self.height = [0] * n

@@ -5,7 +5,7 @@ Every solver in :data:`repro.core.api.SOLVERS` flows through
 finished :class:`~repro.core.schedule.RetrievalSchedule` turns into
 metrics — per-solver solve counts, wall-time and response-time
 histograms, and operation counters (probes, certified midpoints,
-increments, pushes, relabels, augmentations).
+cut-certified points, increments, pushes, relabels, augmentations).
 
 Global metrics are **off by default** (the acceptance bar for this layer
 is that un-instrumented solves stay at seed speed): :func:`observe_solve`
@@ -87,8 +87,8 @@ def observe_solve(schedule, registry: MetricsRegistry | None = None) -> None:
         buckets=OP_BUCKETS,
     ).observe(stats.probes)
     for op in (
-        "probes", "certified", "increments", "pushes", "relabels",
-        "augmentations",
+        "probes", "certified", "cut_certified", "increments", "pushes",
+        "relabels", "augmentations",
     ):
         registry.counter(
             f"repro_{op}_total", f"Total {op} across solves.", labels

@@ -17,6 +17,12 @@ wall time, tagged with the scaling phase that issued it:
     a bisection midpoint at or above the greedy makespan, answered
     feasible without a max-flow run (no operations, no wall time); it
     lowers the upper bracket end like a feasible ``binary`` probe.
+``cut_certified``
+    an anchor, bisection or increment point where no disk that the
+    stored infeasible flow saturates gained capacity, answered
+    infeasible with the stored flow's value without a max-flow run (no
+    operations, no wall time); it raises the lower bracket end like an
+    infeasible ``binary`` probe, or precedes the next increment.
 ``increment``
     the ``IncrementMinCost`` phase (Algorithm 3/5); candidates are the
     nondecreasing min-cost finish times.
@@ -46,10 +52,10 @@ __all__ = [
 ]
 
 #: Recognised phase tags, in the order a binary-scaled solve emits them.
-PHASES = ("anchor", "binary", "certified", "increment", "result")
+PHASES = ("anchor", "binary", "certified", "cut_certified", "increment", "result")
 
 #: Phases that are not max-flow runs: excluded from :meth:`ProbeTrace.probes`.
-_NOT_PROBES = frozenset({"certified", "result"})
+_NOT_PROBES = frozenset({"certified", "cut_certified", "result"})
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,8 @@ class ProbeTrace:
 
     # ------------------------------------------------------------------
     def probes(self, phase: str | None = None) -> list[ProbeEvent]:
-        """The max-flow probe events (``certified`` and ``result``
-        excluded), optionally one phase."""
+        """The max-flow probe events (``certified``, ``cut_certified``
+        and ``result`` excluded), optionally one phase."""
         return [
             e
             for e in self.events
@@ -162,6 +168,10 @@ class ProbeTrace:
     def certified(self) -> list[ProbeEvent]:
         """The midpoints answered from the greedy certificate."""
         return [e for e in self.events if e.phase == "certified"]
+
+    def cut_certified(self) -> list[ProbeEvent]:
+        """The points answered infeasible from the stored flow's cut."""
+        return [e for e in self.events if e.phase == "cut_certified"]
 
     @property
     def final(self) -> ProbeEvent:
@@ -176,6 +186,7 @@ class ProbeTrace:
         return {
             "probes": len(probes),
             "certified": len(self.certified()),
+            "cut_certified": len(self.cut_certified()),
             "pushes": sum(e.pushes for e in probes),
             "relabels": sum(e.relabels for e in probes),
             "augmentations": sum(e.augmentations for e in probes),

@@ -202,7 +202,27 @@ class StorageSystem:
             k -= 1
         return k
 
-    def capacities_at(self, deadline_ms: float) -> list[int]:
+    def rescale_terms(self) -> list[tuple[float, float, float, float]]:
+        """Per-disk ``(D_j, X_j, D_j + X_j, C_j)`` for :meth:`capacities_at`.
+
+        A snapshot of the current loads: a solve takes it once and
+        rescales every probe from it; after :meth:`set_loads` take a new
+        one.
+        """
+        sites = self.sites
+        site_of = self._site_of
+        out: list[tuple[float, float, float, float]] = []
+        for j, d in enumerate(self._disks):
+            delay = sites[site_of[j]].delay_ms
+            load = d.initial_load_ms
+            out.append((delay, load, delay + load, d.block_time_ms))
+        return out
+
+    def capacities_at(
+        self,
+        deadline_ms: float,
+        terms: list[tuple[float, float, float, float]] | None = None,
+    ) -> list[int]:
         """All disks' :meth:`capacity_at` in one pass.
 
         The batch form of the per-probe rescale: one call produces the
@@ -211,27 +231,27 @@ class StorageSystem:
         writes with a single strided slice assignment.  Bit-identical to
         ``[capacity_at(j, t) for j in range(num_disks)]`` — the
         arithmetic below repeats :meth:`capacity_at` and
-        :meth:`finish_time` expression-for-expression so float evaluation
-        order (and therefore the exact-inverse guarantee) is unchanged —
-        but without the per-disk bounds checks and method dispatch.
+        :meth:`finish_time` expression-for-expression (``delay + load +
+        k * c`` is ``(delay + load) + k * c``) so float evaluation order
+        (and therefore the exact-inverse guarantee) is unchanged — but
+        without the per-disk bounds checks and method dispatch.
+        ``terms`` is a :meth:`rescale_terms` snapshot of the current
+        loads (taken here when omitted).
         """
-        sites = self.sites
-        site_of = self._site_of
+        if terms is None:
+            terms = self.rescale_terms()
         out: list[int] = []
-        for j, d in enumerate(self._disks):
-            delay = sites[site_of[j]].delay_ms
-            load = d.initial_load_ms
+        for delay, load, base, c in terms:
             budget = deadline_ms - delay - load
             if budget <= 0:
                 out.append(0)
                 continue
-            c = d.block_time_ms
             k = int(budget // c)
             # same O(1) fixups as capacity_at, against the same
-            # finish_time expression (delay + load + k * c)
-            while delay + load + (k + 1) * c <= deadline_ms:
+            # finish_time expression
+            while base + (k + 1) * c <= deadline_ms:
                 k += 1
-            while k > 0 and delay + load + k * c > deadline_ms:
+            while k > 0 and base + k * c > deadline_ms:
                 k -= 1
             out.append(k)
         return out

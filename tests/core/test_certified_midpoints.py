@@ -60,7 +60,10 @@ def test_certificate_is_prober_independent(seed):
     p = problem(seed)
     stats = {s: solve(p, solver=s).stats for s in SKELETON_SOLVERS}
     certified = {s: st.certified for s, st in stats.items()}
-    visited = {s: st.probes + st.certified for s, st in stats.items()}
+    visited = {
+        s: st.probes + st.certified + st.cut_certified
+        for s, st in stats.items()
+    }
     assert certified["pr-binary"] > 0  # the loose tmax leaves some
     assert len(set(certified.values())) == 1, certified
     assert len(set(visited.values())) == 1, visited

@@ -3,8 +3,8 @@
 The differential suite compares ``pr-binary`` and ``pr-csr`` with each
 other, so a mistake both engines share (say, in how a warm probe seeds
 its excess) passes it.  This test pins each solve's
-``(response_time_ms, assignment, probes, certified, increments, pushes,
-relabels)`` for the two Algorithm 6 push–relabel solvers, the black-box
+``(response_time_ms, assignment, probes, certified, cut_certified,
+increments, pushes, relabels)`` for the two Algorithm 6 push–relabel solvers, the black-box
 baseline and ``ff-binary`` on a fixed, seeded set of generalized
 instances (Table IV experiment 5: heterogeneous disks, random delays and
 initial loads) to recorded values.  Any change to the schedules or to the operation counts — and so
@@ -62,6 +62,7 @@ def observe(problem, solver: str) -> dict:
         "assignment": [sched.assignment[i] for i in range(problem.num_buckets)],
         "probes": st.probes,
         "certified": st.certified,
+        "cut_certified": st.cut_certified,
         "increments": st.increments,
         "pushes": st.pushes,
         "relabels": st.relabels,

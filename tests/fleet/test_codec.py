@@ -162,9 +162,11 @@ class TestScheduleRoundTrip:
         assert back.response_time_ms == schedule.response_time_ms
         assert back.assignment == schedule.assignment
         assert back.solver == schedule.solver
-        assert schedule.stats.certified > 0  # the counter is exercised
-        for name in ("probes", "certified", "increments", "pushes",
-                     "relabels", "augmentations"):
+        # the counters are exercised
+        assert schedule.stats.certified > 0
+        assert schedule.stats.cut_certified > 0
+        for name in ("probes", "certified", "cut_certified", "increments",
+                     "pushes", "relabels", "augmentations"):
             assert getattr(back.stats, name) == getattr(schedule.stats, name)
 
     def test_huge_stats_counters_survive(self):
@@ -285,9 +287,11 @@ class TestFlatPayloadRoundTrip:
         assert back.response_time_ms == schedule.response_time_ms
         assert back.assignment == schedule.assignment
         assert back.solver == schedule.solver
-        assert schedule.stats.certified > 0  # the counter is exercised
-        for name in ("probes", "certified", "increments", "pushes",
-                     "relabels", "augmentations"):
+        # the counters are exercised
+        assert schedule.stats.certified > 0
+        assert schedule.stats.cut_certified > 0
+        for name in ("probes", "certified", "cut_certified", "increments",
+                     "pushes", "relabels", "augmentations"):
             assert getattr(back.stats, name) == getattr(schedule.stats, name)
 
     def test_huge_stats_counters_survive_v2(self):

@@ -7,7 +7,7 @@ wire (key order, column width, spec-table layout) fails here.
 
 Regenerate (only for a deliberate wire change) with::
 
-    PYTHONPATH=src python tests/fleet/test_codec_golden.py
+    PYTHONPATH=src:. python tests/fleet/test_codec_golden.py
 """
 
 from __future__ import annotations
@@ -29,27 +29,27 @@ from tests.property.test_differential_fuzz import random_generalized
 GOLDEN = {
     "small": (
         "1118d4764043283f9c2629b33521a35dc54aebf8b6b134018519cdbee7ca8153",
-        "154ad9a008525ebcb58c58e2deab67b09c97e6a1768d4709ecdb2574702cf59f",
+        "cadfabb0722a23f579e9c4e492229393760c5dc111363a23f1acf8e22ef1dbdd",
     ),
     "seed-0": (
         "b690b97c66d1bba16e3b21f827e26c2c1ef016e0d5f72d369b9c7d33dda006d3",
-        "6200054fa001f82911f1b846702ec23fb59a54216b96351f32ff2ec5096f3330",
+        "db88b216983d3e604758fb85d52c7244181dc6b429d3122e7cd9d806df9ef4cd",
     ),
     "seed-1": (
         "ad1a78f9abf76897b52d8293be4730cd46eede93219350562dbed7feceb11e70",
-        "f1806e83619d0541e1ff429ff5dd4a975f6444887e6819bdd3b499676014f1f6",
+        "7b5ee06cedfe992238d0bdda6a9bb4a7f8590313f4ad822db21426da112a4f70",
     ),
     "seed-2": (
         "180b908dc6c2ff8db7beceed29fbf10967eefeaa1bbd23ad84c798976b961ee1",
-        "f816e4e1ac964473b9d87c358b3fc5ee3362174dbf053163b3060323f58c7346",
+        "08ee6455927e1c29579346f170db2bb47b38326e65e8bee7dd20da8a84946e51",
     ),
     "seed-3": (
         "91e9b19e5a965b294c0ed26bf5ea84b4dedab8a136ffa5c4443ab5d0a8e00e28",
-        "de3a6e4f175e2580aaa3de6a143de1c53502aece8ca516378b9180a495feec1e",
+        "33bfb79bbf860b19e5313ff1a684b56d0d2b848b686d42fd3cb5cadc8c1999bd",
     ),
     "seed-4": (
         "42c442370bbe78151351c73a3be3f3bd125b6c3b125a2862e37fb7c587816f2b",
-        "8d4a60a2d6b310517c36eff4bd77368a0b7bff17b2bfffed252983f675679a44",
+        "c07c8df3678a5a218dafe457a393091e2191504446b3b3291f91d99df5449796",
     ),
 }
 

@@ -116,6 +116,8 @@ class TestSolveMetricsHook:
         assert probes.value == sched.stats.probes
         certified = mine.get("repro_certified_total", {"solver": "pr-binary"})
         assert certified.value == sched.stats.certified
+        cut = mine.get("repro_cut_certified_total", {"solver": "pr-binary"})
+        assert cut.value == sched.stats.cut_certified
 
     def test_observe_solve_is_reusable_standalone(self):
         reg = MetricsRegistry()

@@ -182,7 +182,8 @@ def test_solvers_match_brute_force_bit_for_bit(seed):
 #: the deterministic SolverStats counters (wall_time_s is excluded —
 #: it is the one field allowed to differ across the boundary)
 STATS_COUNTERS = (
-    "probes", "certified", "increments", "pushes", "relabels", "augmentations",
+    "probes", "certified", "cut_certified", "increments", "pushes",
+    "relabels", "augmentations",
 )
 
 N_FLEET_INSTANCES = 16

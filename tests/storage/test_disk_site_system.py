@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,26 @@ class TestStorageSystem:
             sys_.disk(5)
         with pytest.raises(StorageConfigError):
             sys_.capacity_at(-3, 1.0)
+
+    def test_capacities_at_matches_capacity_at_with_and_without_terms(self):
+        # the batch rescale, from a fresh or a snapshotted rescale_terms,
+        # is bit-identical to the per-disk capacity_at, on and next to
+        # every exact finish time
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            sys_ = StorageSystem.from_groups(
+                ["ssd+hdd", "ssd+hdd"], 4,
+                delays_ms=rng.uniform(0, 8, size=2).tolist(), rng=rng,
+            )
+            sys_.set_loads(rng.uniform(0, 6, size=sys_.num_disks))
+            terms = sys_.rescale_terms()
+            ts = [float(rng.uniform(0, 60)) for _ in range(5)]
+            for d in range(sys_.num_disks):
+                t = sys_.finish_time(d, int(rng.integers(1, 9)))
+                ts += [t, math.nextafter(t, -math.inf)]
+            for t in ts:
+                expected = [
+                    sys_.capacity_at(j, t) for j in range(sys_.num_disks)
+                ]
+                assert sys_.capacities_at(t) == expected
+                assert sys_.capacities_at(t, terms) == expected
