@@ -188,6 +188,17 @@ class RetrievalNetwork:
         """Current disk→sink capacities (exact ints by construction)."""
         return [self.graph.cap[a] for a in self.sink_arcs]
 
+    def set_sink_caps(self, caps: list[int]) -> None:
+        """Set the disk→sink capacities to ``caps`` (one per disk), the
+        inverse of :meth:`sink_caps`: a warm-start cache entry that kept
+        only a flow snapshot writes its capacities back into a rebuilt
+        network with this."""
+        if len(caps) != len(self.sink_arcs):
+            raise InvalidArcError(
+                f"{len(caps)} sink capacities for {len(self.sink_arcs)} disks"
+            )
+        self.graph.cap[self._sink_cap_slice] = caps
+
     def set_uniform_sink_caps(self, cap: int) -> None:
         """Set every disk→sink capacity to ``cap`` (basic problem)."""
         self.graph.cap[self._sink_cap_slice] = [cap] * len(self.sink_arcs)

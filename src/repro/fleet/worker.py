@@ -14,7 +14,8 @@ or "spawn").  Worker-side state is process-global by design:
 
 The solve path is ``SchedulerService._solve_locked``'s: one
 :meth:`~repro.service.cache.NetworkCache.checkout` (warm signature →
-rebind + restore conserved flow; cold signature → fresh network), one
+restore conserved flow into the entry's network, built at its first
+hit; cold signature → fresh network), one
 registry solve, one ``put`` of the final flow.  With ``cache_size=0``
 the worker is a pure function of its payload, which is what the
 cross-process differential suite leans on for bit-for-bit

@@ -2,13 +2,26 @@
 
 Repeated and overlapping queries — the hot case of any real frontend —
 resolve to the *same* replica signature ``problem.replicas``, and the
-paper's flow networks are a pure function of that signature.  Caching the
-built :class:`~repro.core.network.RetrievalNetwork` (plus the final flow
-of the last solve, via the existing ``save_flow``/``restore_flow``
-machinery) lets the integrated solvers skip topology construction
-entirely and start each probe from a conserved, clamped preflow — the
-same flow-conservation idea Algorithm 6 applies *within* a solve,
-extended *across* solves.
+paper's flow networks are a pure function of that signature.  Caching
+the final flow of the last solve (via the existing
+``save_flow``/``restore_flow`` machinery) and, once the signature
+repeats, the built :class:`~repro.core.network.RetrievalNetwork` lets
+the integrated solvers skip topology construction and start each probe
+from a conserved, clamped preflow — the same flow-conservation idea
+Algorithm 6 applies *within* a solve, extended *across* solves.
+
+What an entry costs depends on whether it has been hit.  A miss stores
+only the flow snapshot and the N disk→sink capacities (about 25 KB for
+a ~470-bucket query at N=32 per site); the network the miss built is
+dropped with the caller's last reference.  The entry's first hit
+rebuilds the network (about 1 ms at that size), writes the capacities
+back, and keeps it: from then on the entry also pins the network (about
+390 KB at that size) and every later hit reuses it.  Source and replica
+arcs always have capacity 1, so the flow and the sink capacities are
+all of a solved network's state that a warm solve reads; schedules are
+the same whether the entry held its network or rebuilt it.  Signatures
+that never repeat — most of a cold, non-repeating stream — never pay
+for a network in the cache.
 
 An entry is the last solve's flow snapshot plus, per disk, the bucket
 units that departed since (the online scheduler's drains).  A drain only
@@ -20,15 +33,16 @@ exact: releases on different disks touch disjoint buckets, and releasing
 ``u1`` then ``u2`` units on one disk frees the same first ``u1 + u2``
 routed buckets, in index order, as one release of ``u1 + u2``.
 
-Since the CSR refactor the entry implicitly carries a third asset: the
-network's **compiled flat-array layout**.  ``graph.compiled()`` memoizes
-the :class:`~repro.graph.csr.CompiledNetwork` on the builder, and
-neither :meth:`~repro.core.network.RetrievalNetwork.rebind` nor
+An entry that holds a network also carries its **compiled flat-array
+layout**.  ``graph.compiled()`` memoizes the
+:class:`~repro.graph.csr.CompiledNetwork` on the builder, and neither
+:meth:`~repro.core.network.RetrievalNetwork.rebind` nor
 :meth:`~repro.core.network.RetrievalNetwork.clamp_flow_to_sink_caps`
-touches topology — so a cache hit under the ``pr-csr`` solver reuses the
-same compiled buffers *and* its ``kernel_scratch`` (height/excess/queue
-working state keyed per source/sink), skipping compilation and scratch
-allocation along with topology construction.
+touches topology — so from an entry's second hit on, the ``pr-csr``
+solver reuses the same compiled buffers *and* its ``kernel_scratch``
+(height/excess/queue working state keyed per source/sink), skipping
+compilation and scratch allocation along with topology construction.
+The first hit compiles the rebuilt network once.
 
 The cache is deliberately not thread-safe on its own: the scheduler
 service mutates cached networks while solving, so every access happens
@@ -52,33 +66,55 @@ Signature = tuple[tuple[int, ...], ...]
 
 @dataclass
 class CacheEntry:
-    """One cached topology, the flow it last carried, and the units
-    released from that flow since.
+    """One signature's last flow, the disk→sink capacities it ran
+    under, and the units released from that flow since.
 
     ``flow`` holds either representation's snapshot —
     ``FlowNetwork.save_flow``'s plain list or
     ``CompiledNetwork.save_flow``'s ``array('q')`` (compact: 8 bytes per
-    arc slot, no boxed ints); both restore into both.  ``pending`` maps
-    a disk to the units drained from it but not yet applied to ``flow``
-    and the network's sink capacity; it never holds more than one key
-    per disk, and ``pending[j]`` never exceeds the units ``flow`` routes
-    through disk ``j``.
+    arc slot, no boxed ints); both restore into both.  Until the entry's
+    first :meth:`checkout`, ``network`` is ``None`` and ``sink_caps``
+    holds the N capacities; the checkout builds the network, writes
+    them back and keeps the network from then on (``sink_caps`` is then
+    ``None``: the network carries them).  ``pending`` maps a disk to the
+    units drained from it but not yet applied to ``flow`` and the sink
+    capacity; it never holds more than one key per disk, and
+    ``pending[j]`` never exceeds the units ``flow`` routes through disk
+    ``j``.
     """
 
-    network: RetrievalNetwork
-    flow: list[int] | array | None = None
+    flow: list[int] | array | None
+    sink_caps: list[int] | None = None
+    network: RetrievalNetwork | None = None
     pending: dict[int, int] = field(default_factory=dict)
 
-    def restore(self) -> RetrievalNetwork:
+    def sink_slot(self, disk: int) -> int:
+        """Disk ``disk``'s disk→sink arc id, with or without a network:
+        the N sink arcs are appended last (``RetrievalNetwork``), so
+        their forward slots are the snapshot's last ``2N``."""
+        if self.network is not None:
+            return self.network.sink_arcs[disk]
+        return len(self.flow) - 2 * len(self.sink_caps) + 2 * disk
+
+    def checkout(self, problem: RetrievalProblem) -> RetrievalNetwork:
         """Load this entry's state into its network and return it.
 
-        Restores ``flow`` (or zero flow when there is none), then
-        applies the pending releases: each disk's units are unrouted
-        with ``release_flow`` and its sink capacity shrinks by as much.
-        The repaired flow becomes the new snapshot, so restoring twice
-        gives the same state.
+        The first checkout builds ``RetrievalNetwork(problem)`` (the
+        topology is a pure function of the signature) and writes
+        ``sink_caps`` back; later ones rebind the kept network to
+        ``problem``.  Then restores ``flow`` (or zero flow when there is
+        none) and applies the pending releases: each disk's units are
+        unrouted with ``release_flow`` and its sink capacity shrinks by
+        as much.  The repaired flow becomes the new snapshot, so checking
+        out twice gives the same state.
         """
         network = self.network
+        if network is None:
+            network = RetrievalNetwork(problem)
+            network.set_sink_caps(self.sink_caps)
+            self.network, self.sink_caps = network, None
+        else:
+            network.rebind(problem)
         graph = network.graph
         if self.flow is None:
             graph.reset_flow()
@@ -103,7 +139,8 @@ class NetworkCache:
         every store a no-op (caching disabled, counters still live).
     registry:
         Metrics sink for ``repro_service_cache_{hits,misses,evictions}_total``
-        counters and the ``repro_service_cache_entries`` gauge.
+        counters and the ``repro_service_cache_{entries,networks}``
+        gauges.
     """
 
     def __init__(self, size: int, registry: MetricsRegistry) -> None:
@@ -127,6 +164,12 @@ class NetworkCache:
             "repro_service_cache_entries",
             "Warm-start network cache resident entries.",
         )
+        self._m_networks = registry.gauge(
+            "repro_service_cache_networks",
+            "Warm-start cache entries holding a built network "
+            "(entries reach one at their first hit).",
+        )
+        self._networks = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -159,34 +202,37 @@ class NetworkCache:
         """The cached network for ``problem``, ready to solve on, or
         ``None`` on a miss (the caller builds a fresh one).
 
-        Counts the hit or miss like :meth:`get`.  A hit rebinds the
-        cached network to ``problem`` and restores the entry's state
-        into it (:meth:`CacheEntry.restore`, which applies any pending
-        releases).  Callers solve on the network and hand its final flow
-        back with :meth:`put`.
+        Counts the hit or miss like :meth:`get`.  A hit loads the
+        entry's state into its network — built on the entry's first
+        hit, rebound to ``problem`` on later ones — and applies any
+        pending releases (:meth:`CacheEntry.checkout`).  Callers solve
+        on the network and hand its final flow back with :meth:`put`.
         """
         entry = self.get(problem.replicas)
         if entry is None:
             return None
-        entry.network.rebind(problem)
-        return entry.restore()
+        built = entry.network is None
+        network = entry.checkout(problem)
+        if built:
+            self._count_networks(1)
+        return network
 
     def release(self, signature: Signature, disk: int, units: int) -> int:
         """Record ``units`` drained from ``disk`` against the entry.
 
-        O(1): no flow is touched until the entry's next checkout.
-        Neither LRU-touches nor counts a hit or miss — a drain is
-        maintenance, not a lookup.  Returns the units actually released:
-        at most what the snapshot still routes through ``disk`` (by flow
-        conservation at the disk vertex, exactly what ``release_flow``
-        on the checked-out network would free), ``0`` for an absent
-        entry.
+        O(1): no flow is touched until the entry's next checkout, and an
+        entry without a network yet gets none.  Neither LRU-touches nor
+        counts a hit or miss — a drain is maintenance, not a lookup.
+        Returns the units actually released: at most what the snapshot
+        still routes through ``disk`` (by flow conservation at the disk
+        vertex, exactly what ``release_flow`` on the checked-out network
+        would free), ``0`` for an absent entry.
         """
         entry = self._entries.get(signature)
         if entry is None or entry.flow is None:
             return 0
         already = entry.pending.get(disk, 0)
-        routed = entry.flow[entry.network.sink_arcs[disk]] - already
+        routed = entry.flow[entry.sink_slot(disk)] - already
         released = min(units, routed)
         if released <= 0:
             return 0
@@ -199,22 +245,37 @@ class NetworkCache:
         network: RetrievalNetwork,
         flow: list[int] | array | None,
     ) -> None:
-        """Insert or refresh an entry; evicts the LRU tail on overflow."""
+        """Store ``flow`` and ``network``'s sink capacities for
+        ``signature``; evicts the LRU tail on overflow.
+
+        An entry that holds no network stays without one, so the
+        network a miss built is freed with the caller's last reference;
+        an entry that holds one (it has been checked out) keeps
+        ``network``.  Either way pending releases are dropped: ``flow``
+        is the caller's newer state.
+        """
         if self.size == 0:
             return
         entry = self._entries.get(signature)
-        if entry is None:
-            self._entries[signature] = CacheEntry(network, flow)
+        if entry is None or entry.network is None:
+            self._entries[signature] = CacheEntry(flow, network.sink_caps())
         else:
             entry.network = network
             entry.flow = flow
             entry.pending.clear()
-            self._entries.move_to_end(signature)
+        self._entries.move_to_end(signature)
         while len(self._entries) > self.size:
-            self._entries.popitem(last=False)
+            _, evicted = self._entries.popitem(last=False)
             self._m_evictions.inc()
+            if evicted.network is not None:
+                self._count_networks(-1)
         self._m_entries.set(len(self._entries))
+
+    def _count_networks(self, delta: int) -> None:
+        self._networks += delta
+        self._m_networks.set(self._networks)
 
     def clear(self) -> None:
         self._entries.clear()
         self._m_entries.set(0)
+        self._count_networks(-self._networks)

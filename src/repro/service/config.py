@@ -57,9 +57,12 @@ class ServiceConfig:
         Capacity of the warm-start network cache (entries keyed by the
         query's replica-set signature).  ``0`` disables caching.  Only
         solvers that support warm starts use the cache; others fall back
-        to cold solves transparently.  Under the ``process`` backend the
-        cache lives *inside* each worker (signature-affine lanes keep it
-        warm); this knob sizes those worker caches instead.
+        to cold solves transparently.  An entry holds the last solve's
+        flow snapshot and disk→sink capacities; it builds and keeps its
+        network at its first hit, so only signatures that repeat pin a
+        network.  Under the ``process`` backend the cache lives *inside*
+        each worker (signature-affine lanes keep it warm); this knob
+        sizes those worker caches instead, whose entries cost the same.
     solve_backend:
         Where solves execute: ``"thread"`` (in the calling thread — the
         historical behaviour) or ``"process"`` (a

@@ -14,9 +14,10 @@ The hot path is a pipeline, not a critical section:
    solve lock; only load-refresh, solve and horizon-advance are
    serialized.
 2. **Warm-start cache.**  Queries with a previously seen replica-set
-   signature reuse the cached :class:`~repro.core.network.RetrievalNetwork`
-   topology and the conserved flow of the last solve (clamped to the new
-   capacities) — Algorithm 6's flow conservation extended across solves.
+   signature reuse the conserved flow of the last solve (clamped to the
+   new capacities) — Algorithm 6's flow conservation extended across
+   solves — on a :class:`~repro.core.network.RetrievalNetwork` the cache
+   builds at the signature's first hit and keeps from then on.
 3. **Batched admission (optional).**  With ``batch_window_ms > 0``,
    concurrent submits coalesce into one joint ``solve_batch`` schedule
    (see :mod:`repro.service.batching`).

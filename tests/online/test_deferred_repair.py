@@ -18,6 +18,7 @@ import pytest
 
 from repro import invariants
 from repro.core.network import RetrievalNetwork
+from repro.core.problem import RetrievalProblem
 from repro.decluster import make_placement
 from repro.graph.flownetwork import FlowNetwork
 from repro.online import OnlineConfig
@@ -35,16 +36,26 @@ def _armed(monkeypatch):
 
 
 def eager_release(self, signature, disk, units):
-    """The reference: repair the entry's snapshot on every drain."""
+    """The reference: repair the entry's snapshot on every drain.
+
+    An entry that holds no network yet is repaired on a scratch network
+    carrying its sink capacities, and stays network-less.
+    """
     entry = self._entries.get(signature)
     if entry is None or entry.flow is None:
         return 0
     net = entry.network
+    if net is None:
+        # the topology depends on the signature and the disk count only
+        net = RetrievalNetwork(RetrievalProblem(TOPOLOGY_SYSTEM, signature))
+        net.set_sink_caps(entry.sink_caps)
     net.graph.restore_flow(entry.flow)
     released = net.release_flow(disk, units)
     if released:
         net.decrement_sink_cap(disk, released)
         entry.flow = net.graph.save_flow()
+        if entry.network is None:
+            entry.sink_caps = net.sink_caps()
     return released
 
 
@@ -55,6 +66,10 @@ def deployment(seed):
         ["ssd+hdd", "ssd+hdd"], N, delays_ms=[1.0, 4.0], rng=rng
     )
     return system, placement
+
+
+#: any system with the deployments' disk count, for scratch networks
+TOPOLOGY_SYSTEM = deployment(0)[0]
 
 
 def make_trace(seed, n_queries=40):
@@ -97,7 +112,8 @@ def replay(seed, cache_size, repair=True):
         cache = svc.cache
         entries = []
         for sig, entry in cache._entries.items():
-            net = entry.restore()
+            problem = RetrievalProblem(svc.system, sig)
+            net = entry.checkout(problem)
             invariants.check_valid_flow(
                 net.graph, net.source, net.sink, "checked-out cache entry"
             )
@@ -105,7 +121,7 @@ def replay(seed, cache_size, repair=True):
             state = (sig, list(net.graph.flow), net.sink_caps())
             # the repaired flow is the new snapshot: a second checkout
             # (say, after a solve that raised) sees the same state
-            net = entry.restore()
+            net = entry.checkout(problem)
             assert (sig, list(net.graph.flow), net.sink_caps()) == state
             entries.append(state)
         counters = (cache.hits, cache.misses, cache.evictions)

@@ -70,10 +70,10 @@ def check_cache_integrity(svc):
     cache = svc._cache
     if cache is None:
         return
-    for entry in cache._entries.values():
+    for sig, entry in cache._entries.items():
         if entry.flow is None:
             continue
-        net = entry.restore()
+        net = entry.checkout(RetrievalProblem(svc.system, sig))
         assert not entry.pending
         invariants.check_valid_flow(
             net.graph, net.source, net.sink, "post-drain cache entry"

@@ -9,15 +9,21 @@ instances.  The cache may only change *speed*, never answers.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.api import solve
 from repro.core.certify import certify_optimal, verify_schedule
+from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
 from repro.decluster import make_placement
 from repro.obs import MetricsRegistry
 from repro.service import NetworkCache, SchedulerService, ServiceConfig
+from repro.service import cache as cache_mod
+from repro.service import scheduler as scheduler_mod
 from repro.storage import StorageSystem
 
 N = 6
@@ -47,6 +53,15 @@ def deployment(seed=0):
     return system, placement
 
 
+def three_problems():
+    """Problems with three distinct replica signatures."""
+    system, placement = deployment()
+    return [
+        RetrievalProblem.from_query(system, placement, coords)
+        for coords in ([(0, 0)], [(1, 1), (2, 2)], [(3, 3), (4, 4), (5, 5)])
+    ]
+
+
 def make_queries(seed, count, distinct=5):
     rng = np.random.default_rng(seed)
     pool = []
@@ -69,15 +84,50 @@ class TestAccounting:
     def test_hits_misses_evictions(self):
         registry = MetricsRegistry()
         cache = NetworkCache(2, registry)
-        assert cache.get(("a",)) is None
-        cache.put(("a",), "netA", None)
-        cache.put(("b",), "netB", None)
-        assert cache.get(("a",)).network == "netA"
-        cache.put(("c",), "netC", None)  # evicts LRU "b"
-        assert cache.get(("b",)) is None
+        a, b, c = three_problems()
+        assert cache.checkout(a) is None
+        cache.put(a.replicas, RetrievalNetwork(a), None)
+        cache.put(b.replicas, RetrievalNetwork(b), None)
+        assert cache.checkout(a).signature() == a.replicas
+        cache.put(c.replicas, RetrievalNetwork(c), None)  # evicts LRU b
+        assert cache.checkout(b) is None
         assert (cache.hits, cache.misses, cache.evictions) == (1, 2, 1)
         assert len(cache) == 2
         assert registry.get("repro_service_cache_entries").value == 2
+
+    def test_networks_gauge_counts_entries_holding_a_network(self):
+        """A miss stores no network, the first hit builds one, and an
+        eviction or a clear drops it from the gauge."""
+        registry = MetricsRegistry()
+        cache = NetworkCache(2, registry)
+        a, b, c = three_problems()
+
+        def gauges():
+            return (
+                registry.get("repro_service_cache_entries").value,
+                registry.get("repro_service_cache_networks").value,
+            )
+
+        def solve_into_cache(problem):
+            network = cache.checkout(problem) or RetrievalNetwork(problem)
+            solve(problem, network=network)
+            cache.put(problem.replicas, network, network.graph.save_flow())
+
+        solve_into_cache(a)  # miss
+        assert gauges() == (1, 0)
+        solve_into_cache(a)  # first hit builds a's network
+        assert gauges() == (1, 1)
+        solve_into_cache(a)  # later hits reuse it
+        assert gauges() == (1, 1)
+        solve_into_cache(b)  # miss
+        assert gauges() == (2, 1)
+        solve_into_cache(c)  # miss: evicts a, the LRU entry, and its network
+        assert gauges() == (2, 0)
+        assert (cache.hits, cache.misses, cache.evictions) == (2, 3, 1)
+        solve_into_cache(b)
+        assert gauges() == (2, 1)
+        cache.clear()
+        assert gauges() == (0, 0)
 
     def test_zero_size_disables_storage(self):
         cache = NetworkCache(0, MetricsRegistry())
@@ -178,12 +228,13 @@ class TestDifferential:
         assert warm.cache.hits > 0 and cold.cache is None
 
     def test_csr_solver_reuses_the_compiled_layout(self):
-        """A cache hit under pr-csr keeps the compiled buffers warm.
+        """Repeat hits under pr-csr keep the compiled buffers warm.
 
-        ``graph.compiled()`` memoizes the flat layout on the builder and
-        rebind/restore touch values only — so repeat signatures must see
-        the *same* CompiledNetwork object, with its kernel scratch
-        (height/excess working state) carried across solves.
+        A miss keeps only the flow; the first hit builds the entry's
+        network, and ``graph.compiled()`` memoizes the flat layout on it.
+        Rebind/restore touch values only — so from the second hit on the
+        signature sees the *same* CompiledNetwork object, with its kernel
+        scratch (height/excess working state) carried across solves.
         """
         clock = FakeClock()
         svc = SchedulerService(
@@ -193,27 +244,31 @@ class TestDifferential:
             ),
         )
         coords = [(0, 0), (1, 1), (2, 2)]
-        rec1 = svc.submit(coords)
+        records = [svc.submit(coords)]
         problem = RetrievalProblem.from_query(svc.system, svc.placement, coords)
         entry = svc.cache._entries.get(problem.replicas)
         assert entry is not None
+        assert entry.network is None  # a miss keeps no network
+
+        clock.t += 2.0
+        records.append(svc.submit(coords))  # first hit: builds the network
         compiled = entry.network.graph._compiled
         assert compiled is not None
         assert compiled.kernel_scratch  # engine state parked for reuse
 
         clock.t += 2.0
-        rec2 = svc.submit(coords)
-        entry2 = svc.cache._entries.get(problem.replicas)
-        assert entry2.network.graph._compiled is compiled
-        assert svc.cache.hits >= 1
-        # and the warm path stayed transparent: both answers optimal
-        for rec in (rec1, rec2):
+        records.append(svc.submit(coords))
+        assert svc.cache._entries.get(problem.replicas) is entry
+        assert entry.network.graph._compiled is compiled
+        assert svc.cache.hits == 2
+        # and the warm path stayed transparent: every answer optimal
+        for rec in records:
             assert rec.response_time_ms > 0
         reference = solve(
             RetrievalProblem.from_query(svc.system, svc.placement, coords),
             solver="pr-binary",
         )
-        assert rec2.response_time_ms == pytest.approx(
+        assert records[-1].response_time_ms == pytest.approx(
             reference.response_time_ms, abs=1e-9
         )
 
@@ -233,8 +288,6 @@ class TestDifferential:
         )
         schedule = solve(problem, solver="pr-csr")
         assert schedule.response_time_ms > 0
-        from repro.core.network import RetrievalNetwork
-
         network = RetrievalNetwork(problem)
         solve(problem, solver="pr-csr", network=network)
         snap = network.graph.compiled()
@@ -263,3 +316,52 @@ class TestDifferential:
             )
             clock.t += 1.0
         assert svc.cache.evictions > 0
+
+
+class TestMemory:
+    def test_entries_hold_a_network_only_after_their_first_hit(
+        self, monkeypatch
+    ):
+        """A miss's network is collected once the solve is done; the
+        first hit builds the one network the entry keeps, and later hits
+        reuse it by identity without building another."""
+        built = {"miss": [], "hit": []}
+
+        def spy(kind):
+            def build(problem):
+                network = RetrievalNetwork(problem)
+                built[kind].append(weakref.ref(network))
+                return network
+
+            return build
+
+        monkeypatch.setattr(scheduler_mod, "RetrievalNetwork", spy("miss"))
+        monkeypatch.setattr(cache_mod, "RetrievalNetwork", spy("hit"))
+        clock = FakeClock()
+        svc = SchedulerService(
+            *deployment(seed=3),
+            config=ServiceConfig(time_fn=clock, cache_size=8),
+        )
+        once, again = [(0, 0), (1, 1)], [(2, 2), (3, 3), (4, 4)]
+        for coords in (once, again):
+            assert not svc.submit(coords).cache_hit
+            clock.t += 1.0
+        gc.collect()
+        assert len(built["miss"]) == 2
+        assert [ref() for ref in built["miss"]] == [None, None]
+        assert all(e.network is None for e in svc.cache._entries.values())
+
+        assert svc.submit(again).cache_hit
+        (ref,) = built["hit"]
+        network = ref()
+        problem = RetrievalProblem.from_query(svc.system, svc.placement, again)
+        entry = svc.cache._entries[problem.replicas]
+        assert entry.network is network is not None
+        for _ in range(2):
+            clock.t += 1.0
+            assert svc.submit(again).cache_hit
+            assert entry.network is network
+        assert len(built["hit"]) == 1 and len(built["miss"]) == 2
+        held = [e.network for e in svc.cache._entries.values() if e.network]
+        assert held == [network]
+        assert svc.registry.get("repro_service_cache_networks").value == 1
