@@ -31,7 +31,12 @@ __all__ = [
     "dependent_pair",
 ]
 
-#: exact additive-error search is O(N^4); beyond this we sample shapes
+#: beyond this the searches score a seeded sample of shapes, not all of
+#: them.  Scoring a lattice costs O(N^3) either way (one origin prefix sum,
+#: :mod:`repro.decluster.metrics`), so sampling no longer saves time: it
+#: stays because it selects the pinned placements
+#: (``tests/decluster/test_golden_placements.py``), and an exact search
+#: would move every placement above N=13.
 _EXACT_LIMIT = 13
 #: number of (r, c) shapes sampled in the non-exact regime
 _SAMPLE_SHAPES = 60

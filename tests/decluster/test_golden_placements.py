@@ -7,9 +7,11 @@ shapes it samples or the order it draws them in — can move a choice and
 with it every schedule and figure built on those placements.  This test
 pins ``(a1, a2)``, ``s`` and a SHA-256 digest of the orthogonal,
 dependent and threshold grids for ``N`` in 2..16, 24 and 32 under seeds
-0 and 1.
+0 and 1, and at the paper's scale, ``N`` in 50, 75 and 100, under seed 0.
 
-Regenerate the data file only for a deliberate change in behaviour::
+Regenerate the data file only for a deliberate change in behaviour, and
+record it on the commit before a change to ``additive_error`` lands, so
+the new code is checked against the old code's choices::
 
     PYTHONPATH=src python tests/decluster/test_golden_placements.py
 """
@@ -35,6 +37,10 @@ DATA = Path(__file__).with_name("data") / "golden_placements.json"
 
 SIZES = (*range(2, 17), 24, 32)
 SEEDS = (0, 1)
+PAPER_SCALE = (50, 75, 100)
+CASES = [(N, seed) for seed in SEEDS for N in SIZES] + [
+    (N, 0) for N in PAPER_SCALE
+]
 
 
 def _digest(*allocs) -> str:
@@ -58,20 +64,17 @@ def observe(N: int, seed: int) -> dict:
 
 
 def record() -> dict:
-    return {f"N{N}-seed{seed}": observe(N, seed) for N in SIZES for seed in SEEDS}
+    return {f"N{N}-seed{seed}": observe(N, seed) for N, seed in sorted(CASES)}
 
 
 GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 
 def test_case_set_is_pinned():
-    assert sorted(GOLDEN) == sorted(
-        f"N{N}-seed{seed}" for N in SIZES for seed in SEEDS
-    )
+    assert sorted(GOLDEN) == sorted(f"N{N}-seed{seed}" for N, seed in CASES)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize(("N", "seed"), CASES)
 def test_matches_recorded(N, seed):
     assert observe(N, seed) == GOLDEN[f"N{N}-seed{seed}"]
 
