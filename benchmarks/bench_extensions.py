@@ -1,6 +1,5 @@
 """Benchmarks for the extension surface: batch scheduling, degraded
-mode, min-work tie-breaking, optimality certification, sensitivity
-sweeps.
+mode, min-work tie-breaking, optimality certification.
 
 None of these are paper figures; they time the features a downstream
 adopter would run in production paths, and record their headline
@@ -83,16 +82,3 @@ def test_certification(benchmark):
         return bool(certify_optimal(problem, sched))
 
     assert benchmark(run) is True
-
-
-def test_sensitivity_sweep(benchmark):
-    benchmark.group = "extensions"
-    from repro.analysis import sweep_site_delay
-
-    problem = burst(n_queries=1)[0]
-    delays = [0.0, 5.0, 20.0, 80.0]
-
-    def run():
-        return len(sweep_site_delay(problem, 1, delays).breakpoints())
-
-    benchmark(run)

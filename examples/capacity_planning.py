@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Capacity planning with the component-level disk model.
+"""Capacity planning: which Table III drive should the mirror site run?
 
-Table III reduces each drive to one number — the average block access
-time.  The component model (`repro.storage.diskmodel`) opens that number
-back up (rpm, seek, transfer rate), so "what if we buy X?" questions can
-be answered before any hardware exists.  This example sizes a mirror
-site: should it run 10K-rpm drives, 15K-rpm drives, or QLC flash, given
-a WAN delay and the paper's workload model?
+Table III reduces each drive to one number, the average block access
+time ``C_j``, and the scheduler needs nothing else.  That makes "what if
+we buy X?" a question the optimal scheduler answers before any hardware
+exists.  This example sizes a mirror site behind an 8 ms WAN, with a
+Cheetah array as the primary, under the paper's workload model.
 
 Run:  python examples/capacity_planning.py
 """
@@ -15,19 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import sweep_site_delay
 from repro.core import RetrievalProblem, solve
 from repro.decluster import make_placement
-from repro.storage import Disk, HddModel, Site, SsdModel, StorageSystem
+from repro.storage import Disk, Site, StorageSystem
 from repro.storage.disk import DISK_CATALOG
 from repro.workloads.loads import sample_query
 
-CANDIDATES = {
-    "10K rpm HDD": HddModel(rpm=10_000, avg_seek_ms=4.5, sequential_mb_s=120),
-    "15K rpm HDD": HddModel(rpm=15_000, avg_seek_ms=3.2, sequential_mb_s=160),
-    "QLC flash": SsdModel(sequential_mb_s=180, controller_overhead_ms=0.05),
-    "TLC flash": SsdModel(sequential_mb_s=450, controller_overhead_ms=0.02),
-}
+CANDIDATES = ("barracuda", "raptor", "cheetah", "vertex", "x25e")
 
 
 def mean_response(system, placement, queries) -> float:
@@ -46,42 +39,24 @@ def main() -> None:
 
     print("candidate drives for the mirror site (primary: cheetah array):\n")
     print(f"{'model':14} {'block time':>11}")
-    for name, model in CANDIDATES.items():
-        print(f"{name:14} {model.block_time_ms:9.2f} ms")
+    for name in CANDIDATES:
+        spec = DISK_CATALOG[name]
+        print(f"{spec.model:14} {spec.block_time_ms:9.2f} ms")
 
     print(f"\nmean optimal response, {len(queries)} load-2 range queries, "
           f"mirror 8 ms away:")
     results = {}
-    for name, model in CANDIDATES.items():
-        spec = model.to_spec(name.replace(" ", "-").lower())
+    for name in CANDIDATES:
         primary = [Disk(j, DISK_CATALOG["cheetah"]) for j in range(N)]
-        mirror = [Disk(N + j, spec) for j in range(N)]
+        mirror = [Disk(N + j, DISK_CATALOG[name]) for j in range(N)]
         system = StorageSystem(
             [Site(0, 0.0, primary), Site(1, 8.0, mirror)]
         )
         results[name] = mean_response(system, placement, queries)
-        print(f"  {name:14} -> {results[name]:7.2f} ms")
+        print(f"  {DISK_CATALOG[name].model:14} -> {results[name]:7.2f} ms")
 
     best = min(results, key=results.__getitem__)
-    print(f"\nbest mirror hardware at 8 ms WAN: {best}")
-
-    # and the WAN tolerance question: when does the best mirror stop helping?
-    model = CANDIDATES[best]
-    spec = model.to_spec("winner")
-    primary = [Disk(j, DISK_CATALOG["cheetah"]) for j in range(N)]
-    mirror = [Disk(N + j, spec) for j in range(N)]
-    system = StorageSystem([Site(0, 0.0, primary), Site(1, 0.0, mirror)])
-    q = queries[0]
-    p = RetrievalProblem.from_query(system, placement, q.buckets())
-    sweep = sweep_site_delay(p, 1, [0, 2, 5, 10, 20, 40, 80, 160])
-    print(f"\nWAN sensitivity for one |Q|={p.num_buckets} query "
-          f"(mirror = {best}):")
-    for value, resp in sweep.response_curve():
-        print(f"  delay {value:6.1f} ms -> response {resp:7.2f} ms")
-    bps = sweep.breakpoints()
-    if bps:
-        print(f"schedule shape changes at delay(s): {bps} — beyond the "
-              f"last one the mirror no longer participates")
+    print(f"\nbest mirror hardware at 8 ms WAN: {DISK_CATALOG[best].model}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Operating the scheduler: explanations, certificates, and what-ifs.
+"""Operating the scheduler: explanations and certificates.
 
-A storage operator's three questions about any schedule, answered from
+A storage operator's two questions about any schedule, answered from
 the max-flow structure itself (no heuristic narratives):
 
 1. *Why is this query slow?*    → the min-cut **binding disk set**
 2. *Is the scheduler right?*    → the optimality **certificate**
-3. *What should I upgrade?*     → **sensitivity sweeps** on the binding set
 
 Run:  python examples/explainability.py
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import sweep_disk_load
 from repro.core import (
     RetrievalProblem,
     certify_optimal,
@@ -53,27 +51,6 @@ def main() -> None:
     print("\n-- 2. is the scheduler right? --")
     cert = certify_optimal(problem, schedule)
     print(f"certified optimal: {bool(cert)} — {cert.reason}")
-
-    print("\n-- 3. what should I upgrade? --")
-    if explanation.binding_disks:
-        target = explanation.binding_disks[0]
-        print(f"the explanation blames disk {target}; check the claim by "
-              f"sweeping its backlog:")
-        sweep = sweep_disk_load(problem, target, [0.0, 3.0, 6.0, 12.0, 24.0])
-        for value, resp in sweep.response_curve():
-            print(f"  X[{target}] = {value:5.1f} ms -> response {resp:7.2f} ms")
-        non_binding = next(
-            j for j, _ in explanation.disk_summary.items()
-            if j not in explanation.binding_disks
-        )
-        sweep2 = sweep_disk_load(problem, non_binding, [0.0, 3.0])
-        flat = len({round(r, 6) for _, r in sweep2.response_curve()[:2]}) == 1
-        print(f"sweeping non-binding disk {non_binding} instead: "
-              f"{'response unchanged' if flat else 'response moved'} — "
-              f"as the cut predicted" if flat else "")
-    else:
-        print("source-limited: the query saturates the system; "
-              "no single disk upgrade helps")
 
 
 if __name__ == "__main__":

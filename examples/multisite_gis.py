@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import RetrievalProblem, solve
 from repro.decluster import make_placement
-from repro.storage import OnlineReplay, StorageSystem
+from repro.service import SchedulerService, ServiceConfig
+from repro.storage import StorageSystem
 from repro.workloads import RangeQuery
 
 
@@ -46,17 +46,19 @@ def main() -> None:
         ["hdd", "ssd"], N, delays_ms=[1.0, 10.0], rng=rng
     )
 
-    def scheduler(sys_, buckets):
-        problem = RetrievalProblem.from_query(sys_, placement, buckets)
-        return solve(problem).as_bucket_map()
-
-    replay = OnlineReplay(system, scheduler)
+    # the service keeps each disk's busy horizon across submits; pinned
+    # arrival times replay the session on its own clock
+    service = SchedulerService(
+        system, placement, ServiceConfig(cache_size=0, solve_backend="thread")
+    )
+    records = []
 
     print(f"{'t(ms)':>7}  {'|Q|':>4}  {'resp(ms)':>9}  "
           f"{'site1 buckets':>13}  {'site2 buckets':>13}")
     clock = 0.0
     for query in zoom_session(N, rng):
-        record = replay.submit(clock, query.buckets())
+        record = service.submit(query, arrival_ms=clock)
+        records.append(record)
         counts = [0, 0]
         for disk in record.assignment.values():
             counts[0 if disk < N else 1] += 1
@@ -65,16 +67,17 @@ def main() -> None:
         # next query arrives before the previous fully drains: loads build up
         clock += record.response_time_ms * 0.6
 
+    stats = service.stats()
     print()
-    print(f"mean response: {replay.mean_response_ms():.2f} ms, "
-          f"max: {replay.max_response_ms():.2f} ms over {len(replay.records)} queries")
+    print(f"mean response: {stats.mean_response_ms:.2f} ms, "
+          f"max: {stats.max_response_ms:.2f} ms over {stats.queries} queries")
 
-    # takeaway: the 40 ms mirror only participates when the local SSDs are
-    # saturated enough that D + X + k*C still wins — count how often
+    # takeaway: the SSD mirror 10 ms away takes a bucket only when its
+    # D + X + k*C beats the local HDDs' — count how often
     spill = sum(
-        1 for r in replay.records if any(d >= N for d in r.assignment.values())
+        1 for r in records if any(d >= N for d in r.assignment.values())
     )
-    print(f"queries spilling to the remote mirror: {spill}/{len(replay.records)}")
+    print(f"queries spilling to the remote mirror: {spill}/{len(records)}")
 
 
 if __name__ == "__main__":

@@ -23,12 +23,6 @@ from repro.analysis.response import (
     response_time_study,
     scheme_comparison,
 )
-from repro.analysis.sensitivity import (
-    SweepPoint,
-    SweepResult,
-    sweep_disk_load,
-    sweep_site_delay,
-)
 from repro.analysis.structure import (
     StructurePoint,
     StructureStudy,
@@ -37,10 +31,6 @@ from repro.analysis.structure import (
 from repro.analysis.work import WorkProfile, work_profile_study
 
 __all__ = [
-    "SweepPoint",
-    "SweepResult",
-    "sweep_disk_load",
-    "sweep_site_delay",
     "StructurePoint",
     "StructureStudy",
     "structure_correlation_study",

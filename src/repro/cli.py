@@ -424,10 +424,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.core.api import solve
-    from repro.core.problem import RetrievalProblem
     from repro.decluster import make_placement
-    from repro.storage import OnlineReplay, poisson_trace, session_trace
+    from repro.service import SchedulerService, ServiceConfig
+    from repro.storage import poisson_trace, session_trace
     from repro.workloads.experiments import build_system
 
     rng = np.random.default_rng(args.seed)
@@ -440,24 +439,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         per_session = max(1, args.queries // 4)
         events = session_trace(args.n, 4, per_session, rng)
 
-    def make_scheduler(solver_name):
-        def scheduler(system, buckets):
-            problem = RetrievalProblem.from_query(system, placement, buckets)
-            return solve(problem, solver=solver_name).as_bucket_map()
-
-        return scheduler
-
     print(f"trace: {args.trace}, {len(events)} queries, scheme "
           f"{args.scheme}, N={args.n}/site, experiment {args.experiment}")
     for solver_name in (args.solver, args.baseline):
         system = build_system(args.experiment, args.n,
                               np.random.default_rng(args.seed))
-        replay = OnlineReplay(system, make_scheduler(solver_name))
+        config = ServiceConfig(
+            solver=solver_name, cache_size=0, solve_backend="thread"
+        )
+        svc = SchedulerService(system, placement, config)
         for ev in events:
-            replay.submit(ev.arrival_ms, list(ev.buckets))
+            svc.submit(ev.buckets, arrival_ms=ev.arrival_ms)
+        stats = svc.stats()
         print(f"  {solver_name:20} mean response "
-              f"{replay.mean_response_ms():9.2f} ms, max "
-              f"{replay.max_response_ms():9.2f} ms")
+              f"{stats.mean_response_ms:9.2f} ms, max "
+              f"{stats.max_response_ms:9.2f} ms")
     return 0
 
 

@@ -51,8 +51,9 @@ same flow (exact-height push–relabel returns every re-injected unit
 straight to the source, Ford–Fulkerson finds no augmenting path, the
 black box restarts from zero anyway), so the schedules do not change.
 A network whose sink capacities are all zero carries the zero flow,
-which is maximum there: a fresh network starts with every disk recorded
-at capacity 0 and ``F = 0``.
+which is maximum there: when every capacity at the anchor is 0 the
+anchor is answered with ``F = 0``, for a fresh network and for a warm
+one whose restored flow the clamp has just zeroed alike.
 """
 
 from __future__ import annotations
@@ -279,8 +280,6 @@ def binary_scaling_solve(
     monitor = invariants.ProbeMonitor(net) if invariants.ENABLED else None
     Q = problem.num_buckets
     cap = net.graph.cap
-    # a valid flow within all-zero sink capacities is the zero flow
-    cut = StoredCut.zero(net) if not any(net.sink_caps()) else None
     terms = problem.system.rescale_terms()
 
     # lines 1-11: bracket the optimum
@@ -292,6 +291,10 @@ def binary_scaling_solve(
     net.set_deadline_capacities(tmin, terms)
     if warm:
         net.clamp_flow_to_sink_caps()
+    # decided after the rescale and the clamp, so a warm network is
+    # judged by the capacities at tmin, as a fresh one is: a valid flow
+    # within all-zero sink capacities is the zero flow
+    cut = StoredCut.zero(net) if not any(net.sink_caps()) else None
     if cut is not None and cut.holds(cap):
         _cut_certify(stats, tmin, "anchor", cut, monitor)
     else:

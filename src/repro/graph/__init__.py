@@ -17,19 +17,8 @@ from repro.graph.validation import (
     is_valid_flow,
     min_cut_reachable,
 )
-from repro.graph.io import (
-    from_dimacs,
-    from_json,
-    to_dimacs,
-    to_json,
-    to_networkx,
-)
-from repro.graph.stats import GraphStats, graph_stats, to_dot
 
 __all__ = [
-    "GraphStats",
-    "graph_stats",
-    "to_dot",
     "Arc",
     "FlowNetwork",
     "assert_valid_flow",
@@ -38,9 +27,4 @@ __all__ = [
     "flow_value",
     "is_valid_flow",
     "min_cut_reachable",
-    "from_dimacs",
-    "from_json",
-    "to_dimacs",
-    "to_json",
-    "to_networkx",
 ]

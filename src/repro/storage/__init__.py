@@ -6,8 +6,9 @@ software.  The scheduler only ever consumes three numbers per disk —
 disk's site) and ``X_j`` (time until the disk is idle) — exactly the
 reduction Table I makes; the event-driven simulator
 (:mod:`repro.storage.simulator`) closes the loop by re-deriving response
-times from per-block service events, and :mod:`repro.storage.replay`
-evolves ``X_j`` across a query stream the way a live array would.
+times from per-block service events, and :mod:`repro.storage.trace`
+generates the timed query streams a
+:class:`~repro.service.SchedulerService` evolves ``X_j`` across.
 """
 
 from repro.storage.disk import (
@@ -16,9 +17,7 @@ from repro.storage.disk import (
     Disk,
     DiskSpec,
 )
-from repro.storage.diskmodel import HddModel, SsdModel, fit_seek_time
 from repro.storage.loadgen import RandomStepDistribution, parse_r_notation
-from repro.storage.replay import OnlineReplay, ReplayRecord
 from repro.storage.simulator import DiskEvent, SimulationResult, simulate_schedule
 from repro.storage.site import Site
 from repro.storage.system import StorageSystem
@@ -29,13 +28,8 @@ __all__ = [
     "DISK_GROUPS",
     "Disk",
     "DiskSpec",
-    "HddModel",
-    "SsdModel",
-    "fit_seek_time",
     "RandomStepDistribution",
     "parse_r_notation",
-    "OnlineReplay",
-    "ReplayRecord",
     "DiskEvent",
     "SimulationResult",
     "simulate_schedule",

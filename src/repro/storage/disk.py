@@ -77,7 +77,8 @@ class Disk:
         Hardware spec; ``C_j = spec.block_time_ms``.
     initial_load_ms:
         ``X_j`` — time until this disk finishes its current work (0 when
-        idle).  Mutable: the online replay updates it between queries.
+        idle).  Mutable: a :class:`~repro.service.SchedulerService`
+        refreshes it before each query from the earlier schedules.
     """
 
     disk_id: int

@@ -12,8 +12,9 @@ DESIGN.md):
   (pan/zoom sessions), the access pattern the paper's GIS motivation
   describes.
 
-Both return ``(arrival_ms, bucket_coords)`` pairs ready for
-:class:`repro.storage.replay.OnlineReplay`.
+Both return :class:`TraceEvent` values whose ``buckets`` and
+``arrival_ms`` feed :meth:`repro.service.SchedulerService.submit`
+directly (``repro replay`` does exactly that).
 """
 
 from __future__ import annotations

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import main
 
+#: ``repro replay`` stdout for four invocations, recorded on the
+#: stand-alone replay loop the command ran before it ran on
+#: ``SchedulerService``
+REPLAY_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "replay_golden.json").read_text()
+)
+
 
 class TestReplayCommand:
+    @pytest.mark.parametrize("case", sorted(REPLAY_GOLDEN))
+    def test_golden_output(self, case, capsys):
+        golden = REPLAY_GOLDEN[case]
+        assert main(["replay", *golden["args"]]) == 0
+        assert capsys.readouterr().out == golden["stdout"]
+
     def test_poisson_replay(self, capsys):
         assert main(["replay", "--n", "4", "--queries", "5",
                      "--experiment", "1", "--seed", "1"]) == 0

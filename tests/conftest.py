@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 import pytest
 
 from repro.graph import FlowNetwork
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx
 
 
 @pytest.fixture
@@ -42,3 +46,22 @@ def bipartite_retrieval_like(
     for d in range(n_disks):
         g.add_arc(disk0 + d, t, disk_cap)
     return g, s, t
+
+
+def to_networkx(g: FlowNetwork) -> "networkx.DiGraph":
+    """``g`` as a :class:`networkx.DiGraph` with ``capacity`` attributes.
+
+    The max-flow oracle for the engine tests.  Parallel forward arcs
+    between one vertex pair have their capacities summed, matching
+    max-flow semantics.
+    """
+    import networkx as nx
+
+    h = nx.DiGraph()
+    h.add_nodes_from(g.vertices())
+    for arc in g.arcs():
+        if h.has_edge(arc.tail, arc.head):
+            h[arc.tail][arc.head]["capacity"] += arc.cap
+        else:
+            h.add_edge(arc.tail, arc.head, capacity=arc.cap)
+    return h

@@ -1,20 +1,9 @@
-"""Tests for DIMACS round-trips and the networkx bridge."""
+"""Tests for the networkx bridge the max-flow oracle tests convert with."""
 
 from __future__ import annotations
 
-import pytest
-
-import json
-
-from repro.errors import GraphError
-from repro.graph import (
-    FlowNetwork,
-    from_dimacs,
-    from_json,
-    to_dimacs,
-    to_json,
-    to_networkx,
-)
+from repro.graph import FlowNetwork
+from tests.conftest import to_networkx
 
 
 def sample() -> tuple[FlowNetwork, int, int]:
@@ -24,179 +13,6 @@ def sample() -> tuple[FlowNetwork, int, int]:
     g.add_arc(1, 3, 4)
     g.add_arc(2, 3, 1)
     return g, 0, 3
-
-
-class TestDimacs:
-    def test_roundtrip_preserves_structure(self):
-        g, s, t = sample()
-        g2, s2, t2 = from_dimacs(to_dimacs(g, s, t))
-        assert (s2, t2) == (s, t)
-        assert g2.n == g.n and g2.num_arcs == g.num_arcs
-        assert [(a.tail, a.head, a.cap) for a in g2.arcs()] == [
-            (a.tail, a.head, a.cap) for a in g.arcs()
-        ]
-
-    def test_output_contains_header_and_designators(self):
-        g, s, t = sample()
-        text = to_dimacs(g, s, t)
-        assert "p max 4 4" in text
-        assert "n 1 s" in text and "n 4 t" in text
-
-    def test_parse_accepts_comments_and_blank_lines(self):
-        text = "c hello\n\np max 2 1\nn 1 s\nn 2 t\na 1 2 7\n"
-        g, s, t = from_dimacs(text)
-        assert g.num_arcs == 1 and g.arc(0).cap == 7.0
-
-    def test_parse_accepts_iterable_of_lines(self):
-        lines = ["p max 2 1", "n 1 s", "n 2 t", "a 1 2 7"]
-        g, s, t = from_dimacs(lines)
-        assert (s, t) == (0, 1)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "a 1 2 3\n",  # arc before problem line
-            "p max 2 1\nn 1 s\nn 2 t\na 1 2\n",  # short arc line
-            "p min 2 1\n",  # wrong problem type
-            "p max 2 1\nn 1 q\n",  # bad designator
-            "p max 2 1\nzzz\n",  # unknown line kind
-            "p max 2 1\nn 1 s\n",  # missing sink
-            "",  # no problem line
-        ],
-    )
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(GraphError):
-            from_dimacs(bad)
-
-
-class TestJsonRoundTrip:
-    def test_roundtrip_preserves_caps_and_flow(self):
-        g, s, t = sample()
-        g.push(0, 2)  # 0->1 saturated
-        g.push(2, 2)  # 1->3 carries it onward
-        g2, s2, t2 = from_json(to_json(g, s, t))
-        assert (s2, t2) == (s, t)
-        assert g2.n == g.n and g2.num_arcs == g.num_arcs
-        assert [(a.tail, a.head, a.cap, a.flow) for a in g2.arcs()] == [
-            (a.tail, a.head, a.cap, a.flow) for a in g.arcs()
-        ]
-
-    def test_payload_is_native_ints(self):
-        """No ``1.0`` anywhere: every cap/flow serializes as a JSON int."""
-        g, s, t = sample()
-        g.push(0, 1)
-        payload = json.loads(to_json(g, s, t))
-        for row in payload["arcs"]:
-            assert all(type(x) is int for x in row), row
-        assert "." not in to_json(g, s, t)
-
-    def test_decoded_values_are_exact_ints(self):
-        g, s, t = from_json(to_json(*sample()))
-        for a in g.arcs():
-            assert type(a.cap) is int and type(a.flow) is int
-
-    def test_legacy_integral_floats_accepted(self):
-        """Float-era payloads (``1.0`` caps) decode to the same network."""
-        g, s, t = sample()
-        payload = json.loads(to_json(g, s, t))
-        payload["arcs"] = [
-            [u, v, float(c), float(f)] for u, v, c, f in payload["arcs"]
-        ]
-        g2, _, _ = from_json(json.dumps(payload))
-        assert [(a.tail, a.head, a.cap, a.flow) for a in g2.arcs()] == [
-            (a.tail, a.head, a.cap, a.flow) for a in g.arcs()
-        ]
-        assert all(type(a.cap) is int for a in g2.arcs())
-
-    @pytest.mark.parametrize("bad_cap", [0.5, 2.0000001, -1.5])
-    def test_fractional_capacity_rejected(self, bad_cap):
-        g, s, t = sample()
-        payload = json.loads(to_json(g, s, t))
-        payload["arcs"][0][2] = bad_cap
-        with pytest.raises(GraphError, match="integral"):
-            from_json(json.dumps(payload))
-
-    def test_fractional_flow_rejected(self):
-        g, s, t = sample()
-        payload = json.loads(to_json(g, s, t))
-        payload["arcs"][0][3] = 0.5
-        with pytest.raises(GraphError, match="integral"):
-            from_json(json.dumps(payload))
-
-    def test_flow_over_capacity_rejected(self):
-        g, s, t = sample()
-        payload = json.loads(to_json(g, s, t))
-        payload["arcs"][0][3] = payload["arcs"][0][2] + 1
-        with pytest.raises(GraphError, match="outside"):
-            from_json(json.dumps(payload))
-
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda p: p.update(version=99),
-            lambda p: p.update(arcs="nope"),
-            lambda p: p.update(n="four"),
-            lambda p: p["arcs"].append([0, 1]),
-        ],
-    )
-    def test_malformed_payload_rejected(self, mangle):
-        g, s, t = sample()
-        payload = json.loads(to_json(g, s, t))
-        mangle(payload)
-        with pytest.raises(GraphError):
-            from_json(json.dumps(payload))
-
-    def test_not_json_rejected(self):
-        with pytest.raises(GraphError, match="JSON"):
-            from_json("{truncated")
-        with pytest.raises(GraphError, match="object"):
-            from_json("[1, 2]")
-
-    def test_empty_network_roundtrips(self):
-        """The degenerate cases the fleet codec can legally ship."""
-        g = FlowNetwork(2)  # s and t, no arcs at all
-        g2, s2, t2 = from_json(to_json(g, 0, 1))
-        assert (s2, t2) == (0, 1)
-        assert g2.n == 2 and g2.num_arcs == 0
-
-    def test_isolated_vertices_survive_roundtrip(self):
-        g = FlowNetwork(5)
-        g.add_arc(0, 4, 3)
-        g2, _, _ = from_json(to_json(g, 0, 4))
-        assert g2.n == 5 and g2.num_arcs == 1
-
-    def test_max_int_capacities_roundtrip_exactly(self):
-        """Capacities beyond 2**53 must not pass through float anywhere."""
-        big = 2**63 + 3  # not representable as a float
-        g = FlowNetwork(2)
-        g.add_arc(0, 1, big)
-        g.push(0, big - 1)
-        g2, _, _ = from_json(to_json(g, 0, 1))
-        a = g2.arc(0)
-        assert a.cap == big and type(a.cap) is int
-        assert a.flow == big - 1 and type(a.flow) is int
-
-    def test_zero_capacity_arcs_preserved(self):
-        g = FlowNetwork(3)
-        g.add_arc(0, 1, 0)
-        g.add_arc(1, 2, 4)
-        g2, _, _ = from_json(to_json(g, 0, 2))
-        assert [a.cap for a in g2.arcs()] == [0, 4]
-
-    def test_fractional_rejection_is_graph_error_not_truncation(self):
-        """0.5 must raise — never be silently truncated to 0."""
-        g, s, t = sample()
-        payload = json.loads(to_json(g, s, t))
-        payload["arcs"][0][2] = 0.5
-        try:
-            g2, _, _ = from_json(json.dumps(payload))
-        except GraphError:
-            pass
-        else:  # pragma: no cover - the bug this test exists to catch
-            raise AssertionError(
-                f"fractional capacity accepted as {g2.arc(0).cap!r} "
-                f"instead of raising GraphError"
-            )
 
 
 class TestNetworkxBridge:

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import FlowNetwork, assert_valid_flow, to_networkx
+from repro.graph import FlowNetwork, assert_valid_flow
 from repro.maxflow.mincost import min_cost_max_flow
 
 

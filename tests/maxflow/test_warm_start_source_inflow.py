@@ -17,8 +17,9 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.graph import FlowNetwork, assert_valid_flow, to_networkx
+from repro.graph import FlowNetwork, assert_valid_flow
 from repro.maxflow import parallel_push_relabel, push_relabel
+from tests.conftest import to_networkx
 
 ENGINES = [
     ("fifo", push_relabel, {}),

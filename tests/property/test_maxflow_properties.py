@@ -15,12 +15,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    FlowNetwork,
-    assert_valid_flow,
-    min_cut_reachable,
-    to_networkx,
-)
+from repro.graph import FlowNetwork, assert_valid_flow, min_cut_reachable
 from repro.maxflow import (
     dinic,
     edmonds_karp,
@@ -28,6 +23,7 @@ from repro.maxflow import (
     parallel_push_relabel,
     push_relabel,
 )
+from tests.conftest import to_networkx
 
 arc_strategy = st.tuples(
     st.integers(0, 9), st.integers(0, 9), st.integers(0, 8)

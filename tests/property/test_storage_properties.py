@@ -6,17 +6,20 @@ Invariants:
   ``max_j (D_j + X_j + k_j C_j)`` model, for arbitrary assignments;
 * ``capacity_at`` and ``finish_time`` are exact inverses at integral
   bucket counts, and ``capacity_at`` is monotone in the deadline;
-* online replay never time-travels: loads are non-negative, responses
-  are no smaller than the best single-bucket finish time.
+* a stream replayed through ``SchedulerService`` never time-travels:
+  loads are non-negative, responses are no smaller than the best
+  single-bucket finish time and equal the simulator's on the loads each
+  decision saw.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import OnlineReplay, StorageSystem, simulate_schedule
+from repro.decluster import make_placement
+from repro.service import SchedulerService, ServiceConfig
+from repro.storage import Disk, Site, StorageSystem, simulate_schedule
 from repro.storage.disk import DISK_CATALOG
 
 SPEC_NAMES = sorted(DISK_CATALOG)
@@ -26,8 +29,6 @@ SPEC_NAMES = sorted(DISK_CATALOG)
 def systems(draw):
     n = draw(st.integers(1, 6))
     specs = draw(st.lists(st.sampled_from(SPEC_NAMES), min_size=n, max_size=n))
-    from repro.storage import Disk, Site
-
     split = draw(st.integers(0, n))
     d1 = draw(st.integers(0, 8))
     d2 = draw(st.integers(0, 8))
@@ -77,35 +78,54 @@ def test_capacity_monotone_in_deadline(system, t, dt):
         assert system.capacity_at(d, t + dt) >= system.capacity_at(d, t)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    systems(),
-    st.lists(
-        st.tuples(st.floats(0, 50), st.integers(1, 6)), min_size=1, max_size=6
-    ),
-)
-def test_replay_invariants(system, stream):
-    def greedy(sys_, buckets):
-        counts = [0] * sys_.num_disks
-        out = {}
-        for b in buckets:
-            best = min(
-                range(sys_.num_disks),
-                key=lambda d: sys_.finish_time(d, counts[d] + 1),
-            )
-            counts[best] += 1
-            out[b] = best
-        return out
+@st.composite
+def replay_streams(draw):
+    """A one- or two-site deployment and a timed stream of grid queries."""
+    N = draw(st.integers(1, 4))
+    num_sites = draw(st.integers(1, 2))
+    specs = draw(
+        st.lists(
+            st.sampled_from(SPEC_NAMES),
+            min_size=N * num_sites,
+            max_size=N * num_sites,
+        )
+    )
+    disks = [Disk(j, DISK_CATALOG[spec]) for j, spec in enumerate(specs)]
+    sites = [
+        Site(k, float(draw(st.integers(0, 8))), disks[k * N:(k + 1) * N])
+        for k in range(num_sites)
+    ]
+    placement = make_placement("orthogonal", N, num_sites=num_sites, seed=0)
+    cells = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
+    stream = draw(
+        st.lists(
+            st.tuples(st.floats(0, 50), st.sets(cells, min_size=1, max_size=6)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return StorageSystem(sites), placement, stream
 
-    replay = OnlineReplay(system, greedy)
+
+@settings(max_examples=25, deadline=None)
+@given(replay_streams())
+def test_replay_invariants(case):
+    system, placement, stream = case
+    config = ServiceConfig(
+        solver="greedy-finish-time", cache_size=0, solve_backend="thread"
+    )
+    svc = SchedulerService(system, placement, config)
     clock = 0.0
-    for gap, n_buckets in stream:
+    for gap, buckets in stream:
         clock += gap
-        rec = replay.submit(clock, [f"q{clock}:{i}" for i in range(n_buckets)])
-        assert all(x >= 0 for x in rec.loads_before)
+        rec = svc.submit(sorted(buckets), arrival_ms=clock)
+        assert all(x >= 0 for x in system.loads())
         # a response can never beat the cheapest single-bucket finish
         floor = min(
             system.finish_time(d, 1) for d in range(system.num_disks)
         )
         assert rec.response_time_ms >= floor - 1e-9
-    assert len(replay.records) == len(stream)
+        # nor differ from the simulator on the loads the decision saw
+        sim = simulate_schedule(system, rec.assignment)
+        assert abs(rec.response_time_ms - sim.response_time_ms) < 1e-9
+    assert svc.stats().queries == len(stream)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.decluster import make_placement
 from repro.errors import InfeasibleScheduleError, StorageConfigError
-from repro.storage import OnlineReplay, StorageSystem, simulate_schedule
+from repro.service import SchedulerService, ServiceConfig
+from repro.storage import StorageSystem, simulate_schedule
 
 
 def small_system() -> StorageSystem:
@@ -60,72 +61,72 @@ class TestSimulateSchedule:
 
 
 class TestOnlineReplay:
+    """A timed stream replayed through :class:`SchedulerService`.
+
+    Pinned ``arrival_ms`` values drive the service's busy-horizon ledger:
+    before each decision every disk's ``X_j`` is its backlog at that
+    arrival (Table I), which the tests read back from ``service.system``.
+    """
+
     @staticmethod
-    def greedy_scheduler(system, buckets):
-        """Assign every bucket to the currently least-finishing disk."""
-        counts = [0] * system.num_disks
-        out = {}
-        for b in buckets:
-            best = min(
-                range(system.num_disks),
-                key=lambda d: system.finish_time(d, counts[d] + 1),
-            )
-            counts[best] += 1
-            out[b] = best
-        return out
+    def service(system, N, num_sites=1):
+        placement = make_placement("orthogonal", N, num_sites=num_sites, seed=0)
+        config = ServiceConfig(
+            solver="greedy-finish-time", cache_size=0, solve_backend="thread"
+        )
+        return SchedulerService(system, placement, config)
 
     def test_loads_evolve(self):
-        sys_ = StorageSystem.homogeneous(2, "cheetah")
-        replay = OnlineReplay(sys_, self.greedy_scheduler)
-        r1 = replay.submit(0.0, ["a", "b"])
-        assert r1.loads_before == (0.0, 0.0)
+        svc = self.service(StorageSystem.homogeneous(2, "cheetah"), 2)
+        svc.submit([(0, 0), (0, 1)], arrival_ms=0.0)
+        assert list(svc.system.loads()) == [0.0, 0.0]
         # second query arrives before disks finish -> positive loads
-        r2 = replay.submit(1.0, ["c", "d"])
-        assert any(x > 0 for x in r2.loads_before)
+        svc.submit([(1, 0), (1, 1)], arrival_ms=1.0)
+        assert any(x > 0 for x in svc.system.loads())
 
     def test_loads_drain_when_idle(self):
-        sys_ = StorageSystem.homogeneous(2, "cheetah")
-        replay = OnlineReplay(sys_, self.greedy_scheduler)
-        replay.submit(0.0, ["a"])
-        rec = replay.submit(10_000.0, ["b"])
-        assert rec.loads_before == (0.0, 0.0)
+        svc = self.service(StorageSystem.homogeneous(2, "cheetah"), 2)
+        svc.submit([(0, 0)], arrival_ms=0.0)
+        svc.submit([(0, 1)], arrival_ms=10_000.0)
+        assert list(svc.system.loads()) == [0.0, 0.0]
 
     def test_arrivals_must_be_monotone(self):
-        replay = OnlineReplay(
-            StorageSystem.homogeneous(2, "cheetah"), self.greedy_scheduler
-        )
-        replay.submit(5.0, ["a"])
+        svc = self.service(StorageSystem.homogeneous(2, "cheetah"), 2)
+        svc.submit([(0, 0)], arrival_ms=5.0)
         with pytest.raises(StorageConfigError, match="non-decreasing"):
-            replay.submit(4.0, ["b"])
+            svc.submit([(0, 1)], arrival_ms=4.0)
 
     def test_unassigned_bucket_detected(self):
-        replay = OnlineReplay(
-            StorageSystem.homogeneous(2, "cheetah"),
-            lambda system, buckets: {},
-        )
-        with pytest.raises(StorageConfigError, match="unassigned"):
-            replay.submit(0.0, ["a"])
+        """A bucket no live disk holds is refused, never left unassigned."""
+        svc = self.service(StorageSystem.homogeneous(2, "cheetah"), 2)
+        svc.mark_failed([0, 1])
+        with pytest.raises(InfeasibleScheduleError, match="lost all replicas"):
+            svc.submit([(0, 0)], arrival_ms=0.0)
+        assert svc.stats().queries == 0
 
     def test_run_stream_and_stats(self):
-        sys_ = StorageSystem.homogeneous(2, "cheetah")
-        replay = OnlineReplay(sys_, self.greedy_scheduler)
-        records = replay.run([(0.0, ["a"]), (1.0, ["b", "c"]), (2.0, ["d"])])
-        assert len(records) == 3
-        assert replay.mean_response_ms() > 0
-        assert replay.max_response_ms() >= replay.mean_response_ms()
-        assert replay.clock_ms == 2.0
+        svc = self.service(StorageSystem.homogeneous(2, "cheetah"), 2)
+        stream = [(0.0, [(0, 0)]), (1.0, [(0, 1), (1, 0)]), (2.0, [(1, 1)])]
+        records = [svc.submit(b, arrival_ms=t) for t, b in stream]
+        stats = svc.stats()
+        assert stats.queries == len(records) == 3
+        assert stats.mean_response_ms > 0
+        assert stats.max_response_ms >= stats.mean_response_ms
+        assert records[-1].arrival_ms == 2.0
 
     def test_empty_replay_stats(self):
-        replay = OnlineReplay(
-            StorageSystem.homogeneous(2, "cheetah"), self.greedy_scheduler
-        )
-        assert replay.mean_response_ms() == 0.0
-        assert replay.max_response_ms() == 0.0
+        stats = self.service(StorageSystem.homogeneous(2, "cheetah"), 2).stats()
+        assert stats.mean_response_ms == 0.0
+        assert stats.max_response_ms == 0.0
 
     def test_response_matches_offline_simulation(self):
-        """Replay response of one query == simulator on same system state."""
-        sys_ = StorageSystem.homogeneous(4, "raptor", num_sites=2, delay_ms=[3, 0])
-        replay = OnlineReplay(sys_, self.greedy_scheduler)
-        rec = replay.submit(0.0, list("abcdef"))
-        res = simulate_schedule(sys_, rec.assignment)
-        assert rec.response_time_ms == pytest.approx(res.response_time_ms)
+        """Each decision's response == simulator on the loads it saw."""
+        sys_ = StorageSystem.homogeneous(6, "raptor", num_sites=2, delay_ms=[3, 0])
+        svc = self.service(sys_, 3, num_sites=2)
+        for arrival in (0.0, 2.0):
+            rec = svc.submit(
+                [(i, j) for i in range(2) for j in range(3)], arrival_ms=arrival
+            )
+            res = simulate_schedule(svc.system, rec.assignment)
+            assert rec.response_time_ms == pytest.approx(res.response_time_ms)
+        assert any(x > 0 for x in svc.system.loads())

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.decluster import make_placement
 from repro.errors import WorkloadError
-from repro.storage import OnlineReplay, StorageSystem, poisson_trace, session_trace
+from repro.service import SchedulerService, ServiceConfig
+from repro.storage import StorageSystem, poisson_trace, session_trace
 
 
 @pytest.fixture
@@ -74,13 +76,14 @@ class TestSessionTrace:
 class TestTraceThroughReplay:
     def test_replayable(self, rng):
         events = poisson_trace(4, 8, 5.0, rng)
-        system = StorageSystem.homogeneous(4, "cheetah")
-
-        def naive(sys_, buckets):
-            return {b: hash(b) % sys_.num_disks for b in buckets}
-
-        replay = OnlineReplay(system, naive)
-        for ev in events:
-            replay.submit(ev.arrival_ms, list(ev.buckets))
-        assert len(replay.records) == 8
-        assert replay.mean_response_ms() > 0
+        placement = make_placement("orthogonal", 4, num_sites=1, seed=0)
+        config = ServiceConfig(
+            solver="greedy-finish-time", cache_size=0, solve_backend="thread"
+        )
+        svc = SchedulerService(
+            StorageSystem.homogeneous(4, "cheetah"), placement, config
+        )
+        records = [svc.submit(ev.buckets, arrival_ms=ev.arrival_ms) for ev in events]
+        assert [r.arrival_ms for r in records] == [ev.arrival_ms for ev in events]
+        assert svc.stats().queries == 8
+        assert svc.stats().mean_response_ms > 0

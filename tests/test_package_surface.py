@@ -21,6 +21,11 @@ PACKAGES = [
     "repro.bench",
     "repro.analysis",
     "repro.fleet",
+    "repro.service",
+    "repro.online",
+    "repro.net",
+    "repro.obs",
+    "repro.lint",
 ]
 
 
