@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from _common import BENCH_NS, make_batch
 from repro.core.api import get_solver
 

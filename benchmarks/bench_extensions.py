@@ -9,9 +9,6 @@ outcomes (isolation penalty, failure slowdown, work savings) as
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from _common import BENCH_NS, make_batch
 from repro.core import (
     certify_optimal,

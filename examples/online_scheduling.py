@@ -3,11 +3,10 @@
 
 Every other example solves against a static busy horizon.  This one
 runs the continuous-time mode behind the ``repro.api`` facade: an event
-clock advances over arrivals and completions; when a transfer drains,
-its flow is *released* from the warm cached network (decremental
-repair) instead of rebuilding; a disk failure re-plans in-flight work
-incrementally; and admission sheds on a proven response-time lower
-bound, telling the caller when to retry.
+clock advances over arrivals and completions; a repeated query starts
+from its signature's warm cached flow instead of rebuilding; a disk
+failure re-plans in-flight work incrementally; and admission sheds on a
+proven response-time lower bound, telling the caller when to retry.
 
 Four stops:
 
@@ -68,8 +67,7 @@ def main() -> None:
     final = online.drain()
     st = online.online_stats()
     print(f"  drained at t={final:.2f} ms: {st.completed} completed, "
-          f"{st.drains} per-disk drains, {st.released_units} flow units "
-          f"released by {st.repairs} warm-network repairs\n")
+          f"{st.drains} per-disk drains\n")
 
     # ------------------------------------------------------------------
     # 2. The differential: online records == offline batch optima

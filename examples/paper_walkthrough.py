@@ -16,8 +16,6 @@ Run:  python examples/paper_walkthrough.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import RetrievalProblem, RetrievalNetwork, certify_optimal, solve
 from repro.decluster import make_placement, render_query_overlay
 from repro.maxflow import push_relabel

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("offline", "online"),
                          help="scheduling mode; online runs the "
                               "continuous-time scheduler on the wall "
-                              "clock (arrivals drain and release flow)")
+                              "clock (transfers drain as it passes them)")
     p_serve.add_argument("--max-predicted-ms", type=float, default=None,
                          help="online mode: shed arrivals whose predicted "
                               "response time exceeds this target")

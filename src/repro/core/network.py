@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro import invariants
 from repro.core.problem import RetrievalProblem
 from repro.errors import InfeasibleScheduleError, InvalidArcError
-from repro.graph.flownetwork import FlowNetwork, _exact_int
+from repro.graph.flownetwork import FlowNetwork
 
 __all__ = ["RetrievalNetwork"]
 
@@ -230,80 +230,6 @@ class RetrievalNetwork:
     def increment_sink_cap(self, j: int) -> None:
         """Raise disk ``j``'s disk→sink capacity by one (Algorithm 3)."""
         self.graph.cap[self.sink_arcs[j]] += 1
-
-    def decrement_sink_cap(self, j: int, by: int = 1) -> None:
-        """Lower disk ``j``'s disk→sink capacity by ``by`` units.
-
-        The decremental half of the online mode's flow conservation
-        across time: once a transfer has physically drained, the served
-        units no longer occupy the disk, so the warm network's capacity
-        for that disk shrinks back by exactly the drained amount (see
-        :meth:`release_flow`, which must run first so the remaining flow
-        still fits).  Refuses to cut below the flow currently routed or
-        below zero — a capacity the flow violates would poison every
-        later warm start.
-        """
-        by = _exact_int(by, f"sink-cap decrement on disk {j}")
-        if by < 0:
-            raise InvalidArcError(f"negative sink-cap decrement {by}")
-        a = self.sink_arcs[j]
-        g = self.graph
-        new_cap = g.cap[a] - by
-        if new_cap < 0:
-            raise InvalidArcError(
-                f"disk {j}: decrement {by} would drop sink cap "
-                f"{g.cap[a]} below zero"
-            )
-        if new_cap < g.flow[a]:
-            raise InvalidArcError(
-                f"disk {j}: sink cap {new_cap} would fall below the "
-                f"routed flow {g.flow[a]} — release_flow first"
-            )
-        g.cap[a] = new_cap
-
-    def release_flow(self, j: int, units: int) -> int:
-        """Unroute up to ``units`` bucket routings that pass through disk
-        ``j``, returning how many were actually released.
-
-        The decremental repair primitive for the online scheduler: when
-        a query's transfer on disk ``j`` drains, its routed units are no
-        longer *pending* flow, so they are cancelled in full —
-        source→bucket, bucket→disk and disk→sink arcs together (the same
-        complete-unit-path discipline as :meth:`clamp_flow_to_sink_caps`)
-        — leaving a smaller but still conserving flow.  Releasing fewer
-        than ``units`` (because the current flow routes fewer through
-        ``j``) is not an error: a later solve for the same signature may
-        have rerouted the topology's conserved flow elsewhere.
-        """
-        units = _exact_int(units, f"flow release on disk {j}")
-        if units < 0:
-            raise InvalidArcError(f"negative flow release {units}")
-        g = self.graph
-        sa_sink = self.sink_arcs[j]
-        dv = self.disk_vertex(j)
-        remaining = min(units, g.flow[sa_sink])
-        released = 0
-        if remaining > 0:
-            for i, arcs in enumerate(self.replica_arcs):
-                if remaining == 0:
-                    break
-                for a in arcs:
-                    if g.head[a] == dv and g.flow[a] > 0:
-                        g.flow[a] -= 1
-                        g.flow[a ^ 1] += 1
-                        sa = self.source_arcs[i]
-                        g.flow[sa] -= 1
-                        g.flow[sa ^ 1] += 1
-                        remaining -= 1
-                        released += 1
-                        break  # a bucket carries at most one unit
-            g.flow[sa_sink] -= released
-            g.flow[sa_sink ^ 1] += released
-        if invariants.ENABLED:
-            invariants.check_valid_flow(
-                g, self.source, self.sink, f"release_flow(disk={j})"
-            )
-        return released
 
     # ------------------------------------------------------------------
     # flow management

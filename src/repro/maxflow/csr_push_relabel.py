@@ -165,7 +165,7 @@ class CsrPushRelabelState:
         #: True while ``excess`` is the exact net inflow of the current
         #: flow at every vertex but ``s``.  Kept on this state, never in
         #: the shared scratch: between solves the flow is rewritten
-        #: (cache rebinds, clamps, online releases) by code that does not
+        #: (cache rebinds and restores, clamps) by code that does not
         #: know about it.
         self.excess_exact = False
 

@@ -1,8 +1,7 @@
 """Continuous-time scheduling mode (``ServiceConfig(mode="online")``).
 
-Queries arrive *and finish*: an event clock advances over drains,
-decremental flow repair reclaims warm-network capacity as transfers
-complete, failures re-plan in-flight work incrementally, and admission
+Queries arrive *and finish*: an event clock advances over per-disk
+drains, failures re-plan in-flight work incrementally, and admission
 control sheds on *predicted* response time.  See
 :class:`OnlineScheduler` for the full story.
 """

@@ -37,14 +37,6 @@ class OnlineConfig:
     retry_after_slack_ms:
         Added to the computed backoff hint carried by the shed error
         (how long until the bound could fall below the target).
-    repair:
-        Enable decremental flow repair: when a transfer drains, its
-        units are recorded against the warm cached network's entry in
-        O(1), and the entry's next checkout releases them from the
-        flow and shrinks the sink capacity back
-        (:meth:`~repro.core.network.RetrievalNetwork.release_flow` /
-        ``decrement_sink_cap``).  Only effective with a service-side
-        cache (thread backend, ``cache_size > 0``).
     replan_solver:
         Registry solver used to re-plan in-flight work after
         ``mark_failed`` / ``mark_repaired`` (default: the incremental
@@ -54,7 +46,6 @@ class OnlineConfig:
     clock: str = "virtual"
     max_predicted_response_ms: float | None = None
     retry_after_slack_ms: float = 5.0
-    repair: bool = True
     replan_solver: str = "pr-incremental"
 
     def __post_init__(self) -> None:

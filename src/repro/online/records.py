@@ -54,6 +54,11 @@ class OnlineStats:
 
     ``admitted - completed`` is the in-flight population (also exported
     as the ``repro_online_inflight`` gauge).
+
+    ``released_units`` and ``repairs`` always read 0: drains no longer
+    touch the warm cached flow.  They stay only because
+    ``perfbench/inproc.py`` still reads them, and go once the benchmark
+    drops those reads (ROADMAP item 1b).
     """
 
     admitted: int = 0

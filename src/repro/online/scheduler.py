@@ -6,14 +6,12 @@ busy horizon cannot express:
 
 * **Departures.**  Every admitted query schedules one
   :class:`~repro.online.events.DrainEvent` per disk it touches; when the
-  clock passes a drain, the transfer's units are *released* from the
-  warm cached network — the paper's flow conservation (Algorithms 2/5
-  conserve flow across deadline probes) extended across *time* instead
-  of rebuilding per solve.  A drain costs O(1): it only records the
-  units against the cache entry (:meth:`~repro.service.cache.
-  NetworkCache.release`); the entry's next checkout applies every
-  pending release at once (``release_flow`` + ``decrement_sink_cap``),
-  and an entry evicted first never pays for it.
+  clock passes a drain, the disk's transfer is done and the query
+  completes with its last drain.  A drain updates only the in-flight
+  record and the event heap.  The warm cached flow is left as the last
+  solve stored it: the next solve of that signature rescales the sink
+  capacities at ``tmin`` and clamps the restored flow to them, which
+  drops whatever no longer fits (DESIGN.md §5).
 * **Failure / repair re-planning.**  ``mark_failed`` re-plans the
   not-yet-drained buckets of every in-flight query via the incremental
   engine; ``mark_repaired`` re-plans only when the repaired disk
@@ -52,8 +50,6 @@ from repro.storage.system import StorageSystem
 
 __all__ = ["OnlineScheduler"]
 
-Signature = tuple[tuple[int, ...], ...]
-
 
 @dataclass
 class _PendingDrain:
@@ -71,8 +67,6 @@ class _InFlight:
     #: the full, undegraded problem; re-plans degrade it by the failed
     #: set current at re-plan time
     problem: RetrievalProblem
-    #: the admitted (degraded) problem's replicas: its cache key
-    signature: Signature
     arrival_ms: float
     #: bucket index → disk id (rewritten by re-planning)
     assignment: dict[int, int]
@@ -138,14 +132,6 @@ class OnlineScheduler(SchedulerService):
         self._m_drains = self.registry.counter(
             "repro_online_drains_total", "Per-disk transfer drains."
         )
-        self._m_released = self.registry.counter(
-            "repro_online_released_units_total",
-            "Bucket units released from warm networks by decremental repair.",
-        )
-        self._m_repairs = self.registry.counter(
-            "repro_online_repairs_total",
-            "Decremental warm-network repairs performed.",
-        )
         self._m_replans = self.registry.counter(
             "repro_online_replans_total",
             "In-flight re-plans after disk failure/repair.",
@@ -207,7 +193,7 @@ class OnlineScheduler(SchedulerService):
             return self._clock_ms
 
     # ------------------------------------------------------------------
-    # drains + decremental repair
+    # drains
     # ------------------------------------------------------------------
     def _drain_due_locked(self, now: float) -> None:
         for ev in self._events.pop_due(now):
@@ -225,16 +211,6 @@ class OnlineScheduler(SchedulerService):
         self._m_drains.inc()
         contribution = (ev.at_ms - flight.arrival_ms) + self._delays[ev.disk]
         flight.response_floor_ms = max(flight.response_floor_ms, contribution)
-
-        if self._online_cfg.repair and self._cache is not None:
-            # O(1): the flow surgery waits for the entry's next checkout
-            released = self._cache.release(flight.signature, ev.disk, ev.units)
-            if released:
-                self._online_stats.released_units += released
-                self._online_stats.repairs += 1
-                self._m_released.inc(released)
-                self._m_repairs.inc()
-
         if not flight.pending:
             del self._inflight[ev.query_id]
             self._online_stats.completed += 1
@@ -282,7 +258,6 @@ class OnlineScheduler(SchedulerService):
             flight = _InFlight(
                 query_id=query_id,
                 problem=base,
-                signature=problem.replicas,
                 arrival_ms=now,
                 assignment=dict(schedule.assignment),
             )

@@ -23,15 +23,11 @@ the same whether the entry held its network or rebuilt it.  Signatures
 that never repeat — most of a cold, non-repeating stream — never pay
 for a network in the cache.
 
-An entry is the last solve's flow snapshot plus, per disk, the bucket
-units that departed since (the online scheduler's drains).  A drain only
-records its units (:meth:`NetworkCache.release`, O(1)); the flow surgery
-— ``release_flow`` and ``decrement_sink_cap`` per disk — runs once, when
-the entry is next checked out (:meth:`NetworkCache.checkout`), so an
-entry evicted before its next hit never pays for it.  Coalescing is
-exact: releases on different disks touch disjoint buckets, and releasing
-``u1`` then ``u2`` units on one disk frees the same first ``u1 + u2``
-routed buckets, in index order, as one release of ``u1 + u2``.
+An entry is the last solve's flow snapshot, carried untouched until
+the signature's next solve.  Nothing is unrouted when the online
+scheduler's transfers drain: the warm solve rescales every sink
+capacity at ``tmin`` and clamps the restored flow to them, which drops
+whatever no longer fits (DESIGN.md §5).
 
 An entry that holds a network also carries its **compiled flat-array
 layout**.  ``graph.compiled()`` memoizes the
@@ -53,7 +49,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
@@ -66,8 +62,8 @@ Signature = tuple[tuple[int, ...], ...]
 
 @dataclass
 class CacheEntry:
-    """One signature's last flow, the disk→sink capacities it ran
-    under, and the units released from that flow since.
+    """One signature's last flow and the disk→sink capacities it ran
+    under.
 
     ``flow`` holds either representation's snapshot —
     ``FlowNetwork.save_flow``'s plain list or
@@ -76,25 +72,12 @@ class CacheEntry:
     first :meth:`checkout`, ``network`` is ``None`` and ``sink_caps``
     holds the N capacities; the checkout builds the network, writes
     them back and keeps the network from then on (``sink_caps`` is then
-    ``None``: the network carries them).  ``pending`` maps a disk to the
-    units drained from it but not yet applied to ``flow`` and the sink
-    capacity; it never holds more than one key per disk, and
-    ``pending[j]`` never exceeds the units ``flow`` routes through disk
-    ``j``.
+    ``None``: the network carries them).
     """
 
     flow: list[int] | array | None
     sink_caps: list[int] | None = None
     network: RetrievalNetwork | None = None
-    pending: dict[int, int] = field(default_factory=dict)
-
-    def sink_slot(self, disk: int) -> int:
-        """Disk ``disk``'s disk→sink arc id, with or without a network:
-        the N sink arcs are appended last (``RetrievalNetwork``), so
-        their forward slots are the snapshot's last ``2N``."""
-        if self.network is not None:
-            return self.network.sink_arcs[disk]
-        return len(self.flow) - 2 * len(self.sink_caps) + 2 * disk
 
     def checkout(self, problem: RetrievalProblem) -> RetrievalNetwork:
         """Load this entry's state into its network and return it.
@@ -103,10 +86,7 @@ class CacheEntry:
         topology is a pure function of the signature) and writes
         ``sink_caps`` back; later ones rebind the kept network to
         ``problem``.  Then restores ``flow`` (or zero flow when there is
-        none) and applies the pending releases: each disk's units are
-        unrouted with ``release_flow`` and its sink capacity shrinks by
-        as much.  The repaired flow becomes the new snapshot, so checking
-        out twice gives the same state.
+        none), so checking out twice gives the same state.
         """
         network = self.network
         if network is None:
@@ -115,17 +95,10 @@ class CacheEntry:
             self.network, self.sink_caps = network, None
         else:
             network.rebind(problem)
-        graph = network.graph
         if self.flow is None:
-            graph.reset_flow()
-            return network
-        graph.restore_flow(self.flow)
-        if self.pending:
-            for j, units in self.pending.items():
-                released = network.release_flow(j, units)
-                network.decrement_sink_cap(j, released)
-            self.pending.clear()
-            self.flow = graph.save_flow()
+            network.graph.reset_flow()
+        else:
+            network.graph.restore_flow(self.flow)
         return network
 
 
@@ -204,8 +177,8 @@ class NetworkCache:
 
         Counts the hit or miss like :meth:`get`.  A hit loads the
         entry's state into its network — built on the entry's first
-        hit, rebound to ``problem`` on later ones — and applies any
-        pending releases (:meth:`CacheEntry.checkout`).  Callers solve
+        hit, rebound to ``problem`` on later ones
+        (:meth:`CacheEntry.checkout`).  Callers solve
         on the network and hand its final flow back with :meth:`put`.
         """
         entry = self.get(problem.replicas)
@@ -216,28 +189,6 @@ class NetworkCache:
         if built:
             self._count_networks(1)
         return network
-
-    def release(self, signature: Signature, disk: int, units: int) -> int:
-        """Record ``units`` drained from ``disk`` against the entry.
-
-        O(1): no flow is touched until the entry's next checkout, and an
-        entry without a network yet gets none.  Neither LRU-touches nor
-        counts a hit or miss — a drain is maintenance, not a lookup.
-        Returns the units actually released: at most what the snapshot
-        still routes through ``disk`` (by flow conservation at the disk
-        vertex, exactly what ``release_flow`` on the checked-out network
-        would free), ``0`` for an absent entry.
-        """
-        entry = self._entries.get(signature)
-        if entry is None or entry.flow is None:
-            return 0
-        already = entry.pending.get(disk, 0)
-        routed = entry.flow[entry.sink_slot(disk)] - already
-        released = min(units, routed)
-        if released <= 0:
-            return 0
-        entry.pending[disk] = already + released
-        return released
 
     def put(
         self,
@@ -251,8 +202,7 @@ class NetworkCache:
         An entry that holds no network stays without one, so the
         network a miss built is freed with the caller's last reference;
         an entry that holds one (it has been checked out) keeps
-        ``network``.  Either way pending releases are dropped: ``flow``
-        is the caller's newer state.
+        ``network``.
         """
         if self.size == 0:
             return
@@ -262,7 +212,6 @@ class NetworkCache:
         else:
             entry.network = network
             entry.flow = flow
-            entry.pending.clear()
         self._entries.move_to_end(signature)
         while len(self._entries) > self.size:
             _, evicted = self._entries.popitem(last=False)

@@ -85,7 +85,7 @@ class ServiceConfig:
         ``"online"``: continuous-time scheduling — constructing a
         :class:`~repro.service.SchedulerService` with this mode yields
         an :class:`~repro.online.OnlineScheduler` (arrivals, drains,
-        decremental flow repair, predictive admission).  Incompatible
+        failure re-planning, predictive admission).  Incompatible
         with ``batch_window_ms > 0``.
     online:
         Online-mode policy, grouped in one nested

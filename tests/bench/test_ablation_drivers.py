@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.ablations import (
     ablation_conservation,
     ablation_engines,

@@ -16,14 +16,12 @@ import numpy as np
 import pytest
 
 from repro import invariants
-from repro.core import RetrievalProblem
 from repro.core.network import RetrievalNetwork
 from repro.errors import InvalidArcError
 from repro.graph import FlowNetwork
-from repro.graph.csr import TYPECODE, CompiledNetwork
+from repro.graph.csr import TYPECODE
 from repro.invariants import InvariantViolation
 from repro.maxflow.push_relabel import push_relabel
-from repro.storage import StorageSystem
 
 from tests.property.test_differential_fuzz import random_generalized
 

@@ -23,6 +23,26 @@ def test_src_tree_is_clean():
     assert findings == [], "\n" + format_report(findings)
 
 
+def test_scripts_and_tests_are_clean_of_hygiene_findings():
+    # the ruff-mirror rules hold outside src/ too; the deliberately-bad
+    # fixtures are the only exception
+    root = find_repo_root()
+    findings = [
+        f
+        for f in lint_repo(
+            paths=[root / "tests", root / "examples", root / "benchmarks"],
+            select=[
+                "unused-import",
+                "shadowed-builtin",
+                "mutable-default",
+                "bare-except",
+            ],
+        )
+        if "tests/lint/fixtures/" not in Path(f.path).as_posix()
+    ]
+    assert findings == [], "\n" + format_report(findings)
+
+
 def test_fixture_directory_is_not_swept_by_default():
     # lint_repo only walks src/repro — the deliberately-bad fixtures next
     # to this test must not leak into the default run

@@ -9,10 +9,10 @@ equal on every cold-path record (a warm cache hit may route the same
 optimal value differently, which is exactly the tie-break freedom the
 paper's certificate allows — the value is still demanded exact).
 
-Decremental repair must also never leave a cached network in a state
-the invariant sanitizer rejects: the sanitizer is armed for the whole
-module, and every surviving cache entry is checked out (its pending
-releases applied) and re-checked after the drain.
+The warm path must also never leave a cached network in a state the
+invariant sanitizer rejects: the sanitizer is armed for the whole
+module, and every surviving cache entry is checked out and re-checked
+after the drain.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def deployment(seed):
 
 def make_trace(seed, n_queries=6):
     """Poisson arrivals over a small signature pool (so the warm leg
-    actually hits the cache and repairs warm networks)."""
+    actually hits the cache and starts warm)."""
     rng = np.random.default_rng(1000 + seed)
     pool = []
     for _ in range(3):
@@ -64,9 +64,8 @@ def make_trace(seed, n_queries=6):
 
 
 def check_cache_integrity(svc):
-    """Every surviving warm network, in its checked-out state (pending
-    releases applied), must be a valid flow under the armed sanitizer —
-    repair left no poisoned entries behind."""
+    """Every surviving warm network, in its checked-out state, must be a
+    valid flow under the armed sanitizer — no poisoned entries behind."""
     cache = svc._cache
     if cache is None:
         return
@@ -74,7 +73,6 @@ def check_cache_integrity(svc):
         if entry.flow is None:
             continue
         net = entry.checkout(RetrievalProblem(svc.system, sig))
-        assert not entry.pending
         invariants.check_valid_flow(
             net.graph, net.source, net.sink, "post-drain cache entry"
         )
