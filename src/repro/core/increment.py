@@ -30,8 +30,16 @@ class MinCostIncrementer:
     deletion rule on the first call).
     """
 
-    def __init__(self, network: RetrievalNetwork) -> None:
+    def __init__(
+        self,
+        network: RetrievalNetwork,
+        terms: list[tuple[float, float, float, float]] | None = None,
+    ) -> None:
         self.network = network
+        #: the solve's ``rescale_terms`` snapshot; each cost is
+        #: ``(D_j + X_j) + (caps + 1) * C_j`` from it, the expression
+        #: ``finish_time`` uses (taken at each step when omitted)
+        self.terms = terms
         in_deg = network.disk_in_degree
         self.live_disks: list[int] = [
             j for j, d in enumerate(in_deg) if d > 0
@@ -62,19 +70,22 @@ class MinCostIncrementer:
         flow still falls short the instance itself is broken.
         """
         net = self.network
-        g = net.graph
-        sys_ = net.problem.system
+        caps = net.graph.cap
         arcs = net.sink_arcs
         in_deg = net.disk_in_degree
+        terms = self.terms
+        if terms is None:
+            terms = net.problem.system.rescale_terms()
 
         min_cost = float("inf")
         survivors: list[int] = []
         costs: list[float] = []
         for j in self.live_disks:
-            cap = g.cap[arcs[j]]
+            cap = caps[arcs[j]]
             if in_deg[j] <= cap:
                 continue  # Algorithm 3 lines 3-5: delete exhausted edge
-            cost = sys_.finish_time(j, cap + 1)
+            _, _, base, c = terms[j]
+            cost = base + (cap + 1) * c
             survivors.append(j)
             costs.append(cost)
             if cost < min_cost:

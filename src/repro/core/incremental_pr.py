@@ -31,9 +31,10 @@ class SequentialProber(Prober):
 
     Besides the flow, the prober carries the state's exact excess list
     across probes: :meth:`save` snapshots it beside the flow and
-    :meth:`restore` reinstates both, so a warm probe skips the
-    ``O(n + m)`` net-inflow recomputation (see docs/ALGORITHMS.md,
-    "Warm-probe cost").
+    :meth:`restore` reinstates both, and :meth:`adopt_flow` sets it for
+    a warm start's clamped flow, so a warm probe skips the ``O(n + m)``
+    net-inflow recomputation (see docs/ALGORITHMS.md, "Warm-probe
+    cost").
     """
 
     conserves_flow = True
@@ -80,6 +81,14 @@ class SequentialProber(Prober):
         assert self._state is not None, "attach() before reset_flow()"
         self._graph().reset_flow()
         self._state.restore_excess(None)
+
+    def adopt_flow(self, value: int) -> None:
+        # a valid flow's net inflow: 0 everywhere but the sink (and the
+        # source, whose excess initialize() zeroes anyway)
+        assert self._state is not None, "attach() before adopt_flow()"
+        excess = [0] * self._graph().n
+        excess[self._state.t] = value
+        self._state.restore_excess(excess)
 
     def op_counts(self) -> tuple[int, int, int]:
         if self._state is None:

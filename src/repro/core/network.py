@@ -72,7 +72,8 @@ class RetrievalNetwork:
         # The disk→sink arcs are appended last, so their forward slots
         # form the arithmetic run base, base+2, ... (twins at the odd
         # slots); the per-probe rescale writes all N capacities through
-        # this strided slice in one extended-slice assignment.
+        # this strided slice in one extended-slice assignment, and
+        # sink_caps()/counts_per_disk() read them back through it.
         self._sink_cap_slice = slice(base, base + 2 * N, 2)
 
         # Per-disk replica multiplicity (Algorithm 3's ``in_degree``):
@@ -147,35 +148,39 @@ class RetrievalNetwork:
         the number of bucket units cancelled.
         """
         g = self.graph
+        flow, cap, head = g.flow, g.cap, g.head
+        dbase = 2 + self.problem.num_buckets
         over: dict[int, int] = {}
         for j, a in enumerate(self.sink_arcs):
-            excess = g.flow[a] - g.cap[a]
+            excess = flow[a] - cap[a]
             if excess > 0:
-                over[self.disk_vertex(j)] = excess
-                g.flow[a] -= excess
-                g.flow[a ^ 1] += excess
+                over[dbase + j] = excess
+                flow[a] -= excess
+                flow[a ^ 1] += excess
         if not over:
             if invariants.ENABLED:
                 invariants.check_clamped_network(self, "clamp_flow_to_sink_caps")
             return 0
         cancelled = 0
+        source_arcs = self.source_arcs
         for i, arcs in enumerate(self.replica_arcs):
             if not over:
                 break
             for a in arcs:
-                if g.flow[a] > 0:
-                    need = over.get(g.head[a], 0)
+                if flow[a] > 0:
+                    d = head[a]
+                    need = over.get(d, 0)
                     if need:
-                        g.flow[a] -= 1
-                        g.flow[a ^ 1] += 1
-                        sa = self.source_arcs[i]
-                        g.flow[sa] -= 1
-                        g.flow[sa ^ 1] += 1
+                        flow[a] -= 1
+                        flow[a ^ 1] += 1
+                        sa = source_arcs[i]
+                        flow[sa] -= 1
+                        flow[sa ^ 1] += 1
                         cancelled += 1
                         if need == 1:
-                            del over[g.head[a]]
+                            del over[d]
                         else:
-                            over[g.head[a]] = need - 1
+                            over[d] = need - 1
                     break  # a bucket carries at most one unit
         if invariants.ENABLED:
             invariants.check_clamped_network(self, "clamp_flow_to_sink_caps")
@@ -186,7 +191,7 @@ class RetrievalNetwork:
     # ------------------------------------------------------------------
     def sink_caps(self) -> list[int]:
         """Current disk→sink capacities (exact ints by construction)."""
-        return [self.graph.cap[a] for a in self.sink_arcs]
+        return self.graph.cap[self._sink_cap_slice]
 
     def set_sink_caps(self, caps: list[int]) -> None:
         """Set the disk→sink capacities to ``caps`` (one per disk), the
@@ -256,8 +261,7 @@ class RetrievalNetwork:
 
     def counts_per_disk(self) -> list[int]:
         """Buckets currently routed through each disk (exact ints)."""
-        g = self.graph
-        return [g.flow[a] for a in self.sink_arcs]
+        return self.graph.flow[self._sink_cap_slice]
 
     def assignment(self) -> dict[int, int]:
         """Extract bucket → disk from the current (integral) flow.
@@ -280,11 +284,24 @@ class RetrievalNetwork:
                 )
         return out
 
-    def response_time(self) -> float:
-        """``max_j (D_j + X_j + k_j C_j)`` of the current complete flow."""
-        sys_ = self.problem.system
+    def response_time(
+        self, terms: list[tuple[float, float, float, float]] | None = None
+    ) -> float:
+        """``max_j (D_j + X_j + k_j C_j)`` of the current complete flow.
+
+        ``terms``, a :meth:`~repro.storage.StorageSystem.rescale_terms`
+        snapshot of the current loads, evaluates each finish time as
+        ``(D_j + X_j) + k_j * C_j`` from it, the expression
+        :meth:`~repro.storage.StorageSystem.finish_time` uses.
+        """
+        if terms is None:
+            terms = self.problem.system.rescale_terms()
         worst = 0.0
-        for j, k in enumerate(self.counts_per_disk()):
+        flow = self.graph.flow
+        for a, (_, _, base, c) in zip(self.sink_arcs, terms):
+            k = flow[a]
             if k > 0:
-                worst = max(worst, sys_.finish_time(j, k))
+                t = base + k * c
+                if t > worst:
+                    worst = t
         return worst

@@ -87,20 +87,21 @@ class RetrievalSchedule:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Every bucket assigned, and only to one of its replicas."""
-        missing = [
-            i for i in range(self.problem.num_buckets) if i not in self.assignment
-        ]
+        assignment = self.assignment
+        replicas = self.problem.replicas
+        Q = len(replicas)
+        missing = [i for i in range(Q) if i not in assignment]
         if missing:
             raise InfeasibleScheduleError(
                 f"{len(missing)} bucket(s) unassigned, e.g. {missing[:5]}"
             )
-        for i, d in self.assignment.items():
-            if not 0 <= i < self.problem.num_buckets:
+        for i, d in assignment.items():
+            if not 0 <= i < Q:
                 raise InfeasibleScheduleError(f"unknown bucket index {i}")
-            if d not in self.problem.replicas[i]:
+            if d not in replicas[i]:
                 raise InfeasibleScheduleError(
                     f"bucket {i} assigned to disk {d}, but its replicas are "
-                    f"{self.problem.replicas[i]}"
+                    f"{replicas[i]}"
                 )
 
     # ------------------------------------------------------------------
@@ -132,9 +133,10 @@ class RetrievalSchedule:
 
     def as_bucket_map(self) -> dict[Hashable, int]:
         """Assignment keyed by the problem's bucket labels."""
-        return {
-            self.problem.label_of(i): d for i, d in self.assignment.items()
-        }
+        labels = self.problem.labels
+        if not labels:
+            return dict(self.assignment)
+        return {labels[i]: d for i, d in self.assignment.items()}
 
     def summary(self) -> str:
         """One-paragraph human description (examples/CLI)."""

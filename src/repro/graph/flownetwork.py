@@ -121,7 +121,7 @@ class FlowNetwork:
 
     __slots__ = (
         "n", "head", "cap", "flow", "adj", "_tail", "_in_deg", "_fwd",
-        "_compiled",
+        "_compiled", "_twin",
     )
 
     def __init__(self, n: int = 0) -> None:
@@ -141,6 +141,8 @@ class FlowNetwork:
         self._fwd: list[list[int]] = [[] for _ in range(n)]
         #: memoized CompiledNetwork; invalidated by topology mutation
         self._compiled = None
+        #: memoized twin_arc_lists(); invalidated by topology mutation
+        self._twin: list[list[int]] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -150,7 +152,7 @@ class FlowNetwork:
         self.adj.append([])
         self._in_deg.append(0)
         self._fwd.append([])
-        self._compiled = None
+        self._compiled = self._twin = None
         self.n += 1
         return self.n - 1
 
@@ -186,7 +188,7 @@ class FlowNetwork:
         self._tail.append(v)
         self.adj[v].append(a + 1)
         self._in_deg[v] += 1
-        self._compiled = None
+        self._compiled = self._twin = None
         return a
 
     def add_arcs(
@@ -238,7 +240,7 @@ class FlowNetwork:
             adj[v].append(a + 1)
             in_deg[v] += 1
             a += 2
-        self._compiled = None
+        self._compiled = self._twin = None
         return first
 
     # ------------------------------------------------------------------
@@ -305,6 +307,22 @@ class FlowNetwork:
         treat it as read-only.
         """
         return self._tail
+
+    def twin_arc_lists(self) -> list[list[int]]:
+        """Per-vertex twin-arc lists: ``twin_arc_lists()[v][i] ==
+        adj[v][i] ^ 1``, the arc *into* ``v`` paired with ``v``'s
+        ``i``-th out-arc (its other end is ``tails()[b]``).
+
+        For the exact-height BFS, which walks arcs backwards.  Built on
+        first use and kept until the next :meth:`add_vertex`,
+        :meth:`add_arc` or :meth:`add_arcs`, so every solve on one
+        network (a warm-start cache entry's, say) shares one copy —
+        treat it as read-only.
+        """
+        twin = self._twin
+        if twin is None:
+            twin = self._twin = [[a ^ 1 for a in arcs] for arcs in self.adj]
+        return twin
 
     def in_degree(self, v: int) -> int:
         """Number of original arcs entering ``v`` — O(1).
@@ -391,6 +409,7 @@ class FlowNetwork:
         g._in_deg = list(self._in_deg)
         g._fwd = [list(lst) for lst in self._fwd]
         g._compiled = None  # compiled layouts are never shared
+        g._twin = None
         return g
 
     def vertices(self) -> range:

@@ -109,9 +109,6 @@ class PushRelabelState:
         #: flow at every vertex but ``s`` — set by :meth:`run` and
         #: :meth:`restore_excess`, cleared by :meth:`initialize`
         self.excess_exact = False
-        # BFS topology mirror, see _twin_topology()
-        self._twin_arcs = -1
-        self._twin_adj: list[list[int]] = []
 
         # operation counters (reported in MaxFlowResult.extra)
         self.pushes = 0
@@ -181,7 +178,7 @@ class PushRelabelState:
 
         # Algorithm 5 lines 4-10: saturate source arcs that still have slack
         # (delta = cap - flow), conserving all previously computed flow.
-        for a in g.forward_out_arcs(s):
+        for a in g.forward_arc_lists()[s]:
             delta = cap[a] - flow[a]
             if delta > 0:
                 v = head[a]
@@ -370,7 +367,7 @@ class PushRelabelState:
         g, s, t = self.g, self.s, self.t
         n = g.n
         cap, flow, tail = g.cap, g.flow, g.tails()
-        twin_adj = self._twin_topology()
+        twin_adj = g.twin_arc_lists()
         self.global_relabels += 1
         INF = 2 * n
         height = [INF] * n
@@ -429,20 +426,6 @@ class PushRelabelState:
                 g, s, t, height, height_count, self.current,
                 "PushRelabelState._global_relabel",
             )
-
-    def _twin_topology(self) -> list[list[int]]:
-        """Per-vertex twin-arc lists, for the BFS.
-
-        ``twin_adj[v][i] == adj[v][i] ^ 1`` is the arc *into* ``v``
-        paired with ``v``'s ``i``-th out-arc; its other end is
-        ``g.tails()[b]``.  Built once per topology (arcs are only ever
-        appended, so the arc count tells when to rebuild).
-        """
-        g = self.g
-        if self._twin_arcs != len(g.head):
-            self._twin_adj = [[a ^ 1 for a in arcs] for arcs in g.adj]
-            self._twin_arcs = len(g.head)
-        return self._twin_adj
 
     # ------------------------------------------------------------------
     def result(self) -> MaxFlowResult:

@@ -48,8 +48,8 @@ def certificate_off(monkeypatch) -> None:
     """Make the skeleton probe every midpoint (the pre-certificate run)."""
     real = scaling.greedy_finish_time
 
-    def no_bound(p):
-        choice, counts, _ = real(p)
+    def no_bound(p, *args, **kwargs):
+        choice, counts, _ = real(p, *args, **kwargs)
         return choice, counts, math.inf
 
     monkeypatch.setattr(scaling, "greedy_finish_time", no_bound)
@@ -75,8 +75,8 @@ def test_bound_is_the_greedy_response_time(seed, monkeypatch):
     bounds = []
     real = scaling.greedy_finish_time
 
-    def spy(q):
-        out = real(q)
+    def spy(q, *args, **kwargs):
+        out = real(q, *args, **kwargs)
         bounds.append(out[2])
         return out
 
@@ -121,8 +121,10 @@ def test_reanchored_bracket_still_elides_exactly(seed, monkeypatch):
     opt = solve(p, solver="pr-binary").response_time_ms
     # a feasible closed-form "lower" bound: the anchor probe succeeds and
     # the bracket re-anchors at [0, tmin]
+    real = scaling.closed_form_bracket
     monkeypatch.setattr(
-        RetrievalProblem, "theoretical_min_deadline", lambda self: opt + 50.0
+        scaling, "closed_form_bracket",
+        lambda terms, q: (opt + 50.0, *real(terms, q)[1:]),
     )
     on = {s: solve(p, solver=s, trace=True) for s in SKELETON_SOLVERS}
     (anchor,) = on["pr-binary"].stats.extra["trace"].probes("anchor")
@@ -155,8 +157,8 @@ class TestArmedCertificateCheck:
     def test_too_low_bound_is_caught(self, armed, monkeypatch, solver):
         real = scaling.greedy_finish_time
 
-        def too_low(p):
-            choice, counts, _ = real(p)
+        def too_low(p, *args, **kwargs):
+            choice, counts, _ = real(p, *args, **kwargs)
             return choice, counts, 0.0  # certifies every midpoint
 
         monkeypatch.setattr(scaling, "greedy_finish_time", too_low)

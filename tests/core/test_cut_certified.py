@@ -49,8 +49,13 @@ def problem(seed: int):
 
 
 def cut_off(monkeypatch) -> None:
-    """Make the skeleton probe every point (the pre-certificate run)."""
+    """Make the skeleton probe every point (the pre-certificate run).
+
+    ``holds`` is the test on the rescaled capacities, ``holds_at`` the
+    closed form the bisection asks first; both must say no.
+    """
     monkeypatch.setattr(scaling.StoredCut, "holds", lambda self, cap: False)
+    monkeypatch.setattr(scaling.StoredCut, "holds_at", lambda self, t: False)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -151,9 +156,20 @@ class TestArmedCutCheck:
     def test_dropped_saturated_arc_is_caught(self, armed, monkeypatch, solver):
         real = scaling.StoredCut.saturated.__func__
 
-        def drop_one(cls, network, flow):
-            cut = real(cls, network, flow)
-            return cls(cut.arcs[1:], cut.caps[1:], cut.flow)
+        def drop_one(cls, network, flow, terms):
+            cut = real(cls, network, flow, terms)
+            arcs, caps = cut.arcs[1:], cut.caps[1:]
+            # the closed form of the smaller record, so the bisection's
+            # cut-certified points see the drop too
+            disks = [network.sink_arcs.index(a) for a in arcs]
+            until = min(
+                [
+                    terms[j][2] + (k + 1) * terms[j][3]
+                    for j, k in zip(disks, caps)
+                ],
+                default=math.inf,
+            )
+            return cls(arcs, caps, cut.flow, until)
 
         monkeypatch.setattr(
             scaling.StoredCut, "saturated", classmethod(drop_one)
@@ -161,6 +177,28 @@ class TestArmedCutCheck:
         with pytest.raises(InvariantViolation, match="cut-certified"):
             for seed in SEEDS:
                 solve(problem(seed), solver=solver)
+
+    @pytest.mark.parametrize("solver", ["pr-binary", "ff-binary"])
+    def test_binary_points_are_checked_at_their_own_capacities(
+        self, armed, monkeypatch, solver
+    ):
+        """A binary-phase point answered by ``holds_at`` skips the
+        rescale, except with the monitor armed: the monitor must see the
+        capacities of the point's own deadline."""
+        seen = []
+        real = ProbeMonitor.after_cut_certified
+
+        def spy(self, t, phase, arcs, caps, flow):
+            if phase == "binary":
+                net = self.network
+                at_t = net.problem.system.capacities_at(t)
+                seen.append(net.sink_caps() == at_t)
+            return real(self, t, phase, arcs, caps, flow)
+
+        monkeypatch.setattr(ProbeMonitor, "after_cut_certified", spy)
+        for seed in range(10):
+            solve(problem(seed), solver=solver)
+        assert seen and all(seen)
 
     def test_changed_recorded_capacity_is_caught(self):
         p = problem(2)

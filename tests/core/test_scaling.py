@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RetrievalProblem, brute_force_response_time
+from repro.core import RetrievalProblem, brute_force_response_time, scaling
 from repro.core.incremental_pr import SequentialProber
 from repro.core.scaling import binary_scaling_solve, incremental_solve
 from repro.storage import StorageSystem
@@ -55,10 +55,12 @@ class TestBinaryScaling:
         bracket re-anchors at [0, tmin] and the result stays optimal."""
         p = random_problem(2)
         opt = brute_force_response_time(p)
+        real = scaling.closed_form_bracket
         monkeypatch.setattr(
-            RetrievalProblem,
-            "theoretical_min_deadline",
-            lambda self: opt + 50.0,  # feasible "lower" bound
+            scaling,
+            "closed_form_bracket",
+            # feasible "lower" bound
+            lambda terms, q: (opt + 50.0, *real(terms, q)[1:]),
         )
         sched = binary_scaling_solve(p, SequentialProber(), "test")
         assert sched.response_time_ms == pytest.approx(opt)
@@ -66,12 +68,13 @@ class TestBinaryScaling:
     def test_huge_upper_bound_only_costs_probes(self, monkeypatch):
         p = random_problem(3)
         opt = brute_force_response_time(p)
-        original = RetrievalProblem.theoretical_max_deadline
-        monkeypatch.setattr(
-            RetrievalProblem,
-            "theoretical_max_deadline",
-            lambda self: original(self) * 64,
-        )
+        real = scaling.closed_form_bracket
+
+        def huge_tmax(terms, q):
+            tmin, tmax, min_speed = real(terms, q)
+            return tmin, tmax * 64, min_speed
+
+        monkeypatch.setattr(scaling, "closed_form_bracket", huge_tmax)
         sched = binary_scaling_solve(p, SequentialProber(), "test")
         assert sched.response_time_ms == pytest.approx(opt)
 

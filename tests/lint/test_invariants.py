@@ -301,7 +301,7 @@ class TestExactHeights:
         net = RetrievalNetwork(small_problem())
         net.set_deadline_capacities(net.problem.theoretical_max_deadline())
         state = PushRelabelState(net.graph, net.source, net.sink)
-        state._twin_topology()[net.sink].clear()
+        net.graph.twin_arc_lists()[net.sink].clear()
         return state
 
     def test_hook_catches_a_wrong_global_relabel(self, armed):
