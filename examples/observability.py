@@ -11,8 +11,7 @@ Three stops:
    read its
    always-on registry: decision/response latency percentiles, per-disk
    backlog gauges, and the warm-start network cache's hit/miss/eviction
-   counters; then coalesce a concurrent burst through batched admission
-   and read the batch metrics;
+   counters;
 3. export both — the trace as JSON lines (and parse it back), the
    registry in Prometheus text exposition format.
 
@@ -22,7 +21,6 @@ Run:  python examples/observability.py
 from __future__ import annotations
 
 import tempfile
-import threading
 
 import numpy as np
 
@@ -111,28 +109,6 @@ def main() -> None:
     print(f"  warm-start cache: {hits:.0f} hits / {misses:.0f} misses "
           f"({hits / (hits + misses):.0%} hit rate), "
           f"{entries:.0f} networks resident")
-
-    # ------------------------------------------------------------------
-    # 2b. Batched admission: a concurrent burst coalesces into one joint
-    #     solve_batch schedule; the batch metrics show the coalescing.
-    # ------------------------------------------------------------------
-    burst = api.Scheduler(ServiceConfig(batch_window_ms=25.0)).local(
-        system, placement
-    )
-    burst_svc = burst.service
-    queries = pool[:6]
-    threads = [
-        threading.Thread(target=burst.submit, args=(q,)) for q in queries
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    batches = burst_svc.registry.get("repro_service_batches_total").value
-    sizes = burst_svc.registry.get("repro_service_batch_size")
-    print(f"\nbatched admission: {len(queries)} concurrent submits -> "
-          f"{batches:.0f} joint solve(s), mean batch size "
-          f"{sizes.total / max(sizes.count, 1):.1f}")
 
     # ------------------------------------------------------------------
     # 3. Exporters: JSONL trace round-trip + Prometheus text format.

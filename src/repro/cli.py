@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--n", type=int, default=6, help="disks per site")
     p_serve.add_argument("--solver", default="pr-binary")
     p_serve.add_argument("--cache-size", type=int, default=64)
-    p_serve.add_argument("--batch-window-ms", type=float, default=0.0)
     p_serve.add_argument("--workers", type=int, default=1,
                          help="solve-fleet worker processes (with the "
                               "process backend); >1 implies "
@@ -538,7 +537,6 @@ def _build_serve_service(args: argparse.Namespace):
     config = ServiceConfig(
         solver=args.solver,
         cache_size=args.cache_size,
-        batch_window_ms=args.batch_window_ms,
         solve_backend=backend,
         fleet_workers=args.workers,
         mode=args.mode,
@@ -554,13 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.mode == "online" and args.batch_window_ms > 0:
-        print(
-            "--mode online is incompatible with --batch-window-ms "
-            "(arrivals are admitted individually on the event clock)",
-            file=sys.stderr,
-        )
         return 2
     service = _build_serve_service(args)
     config = ServerConfig(

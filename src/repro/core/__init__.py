@@ -22,19 +22,13 @@ registry name           paper reference
 
 All optimal solvers provably return the same response time; the paper's
 §VI.F does the same cross-check ("the results are matching as expected").
-Extensions: batch scheduling, degraded mode, min-work tie-breaking,
+Extensions: degraded mode, min-work tie-breaking,
 certification (:mod:`repro.core.certify`) and min-cut explanations
 (:mod:`repro.core.explain`).
 """
 
 from repro.core.api import SOLVERS, get_solver, solve
 from repro.core.basic_ff import FordFulkersonBasicSolver
-from repro.core.batch import (
-    BatchSchedule,
-    isolation_penalty,
-    merge_problems,
-    solve_batch,
-)
 from repro.core.degraded import (
     FailureImpact,
     degrade_problem,
@@ -77,10 +71,6 @@ __all__ = [
     "CertificateResult",
     "certify_optimal",
     "verify_schedule",
-    "BatchSchedule",
-    "isolation_penalty",
-    "merge_problems",
-    "solve_batch",
     "FailureImpact",
     "degrade_problem",
     "failure_impact",

@@ -7,14 +7,11 @@ turn this repository's implicit contracts into machine-checked ones:
 ============================  =========================================
 rule                          contract
 ============================  =========================================
-``lock-discipline``           lexical: ``*_locked`` methods and guarded
-                              shared attributes only under
-                              ``with self._lock``
 ``interprocedural-locks``     whole-program: every *call path* into a
                               ``*_locked`` helper or guarded attribute
                               holds the owning lock (call-graph based)
 ``lock-order``                the acquired-while-holding graph over all
-                              ``_lock``/``_mutex`` attributes is acyclic
+                              ``_lock`` attributes is acyclic
                               and non-reentrant locks are never
                               re-entered
 ``async-blocking``            coroutines under ``net/`` never reach a

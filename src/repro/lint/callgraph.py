@@ -52,9 +52,8 @@ __all__ = [
     "LockToken",
 ]
 
-#: attribute names recognised as locks in ``with`` headers (shared
-#: convention with :mod:`repro.lint.rules_locks`)
-LOCK_ATTRS = frozenset({"_lock", "_mutex"})
+#: attribute names recognised as locks in ``with`` headers
+LOCK_ATTRS = frozenset({"_lock"})
 
 #: (owning class name, lock attribute) — the canonical identity of one
 #: lock *instance* family, e.g. ``("SchedulerService", "_lock")``
@@ -756,7 +755,7 @@ class CallGraph:
 
     def lock_attr_of(self, info: ClassInfo) -> str | None:
         """The lock attribute this class's instances carry (or None)."""
-        for attr in ("_lock", "_mutex"):
+        for attr in LOCK_ATTRS:
             if any(attr in c.init_attrs for c in self.mro(info)):
                 return attr
         return None

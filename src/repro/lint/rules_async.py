@@ -7,7 +7,7 @@ This rule walks each coroutine in that package's modules and flags
 
 * direct calls to known blocking primitives (``time.sleep``, blocking
   ``socket``/``select``/``subprocess`` entry points, ``.acquire()`` on a
-  ``_lock``/``_mutex`` attribute, ``.wait()`` on a ``threading.Event``
+  ``_lock`` attribute, ``.wait()`` on a ``threading.Event``
   or ``Condition``);
 * calls to *project* functions that transitively block — resolved
   through the call graph, so ``self.service.stats()`` is flagged because

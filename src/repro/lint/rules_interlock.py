@@ -2,15 +2,17 @@
 
 Two rules live here, both powered by :class:`repro.lint.callgraph.CallGraph`:
 
-* ``interprocedural-locks`` — the whole-program successor to the lexical
-  ``lock-discipline`` rule.  It checks the *callers*: a ``*_locked``
-  method may only be invoked from a path that lexically holds the
-  owning lock, and a method that touches guarded state without taking
-  the lock in its own body is reported even when no ``with self._lock``
-  appears anywhere near the access.
+* ``interprocedural-locks`` — the project's lock-discipline rule.  It
+  checks the *callers*: a ``*_locked`` method may only be invoked from a
+  path that lexically holds the owning lock, and a method that touches
+  guarded state without taking the lock in its own body is reported
+  even when no ``with self._lock`` appears anywhere near the access.
+  A ``*_locked`` call whose receiver the call graph cannot resolve
+  (``def helper(svc): svc._advance_locked()``) must still sit inside
+  some ``with …._lock`` block.
 * ``lock-order`` — builds the acquired-while-holding graph across every
-  class that owns a ``_lock``/``_mutex`` and reports cycles (potential
-  deadlocks) and non-reentrant self-acquisition (guaranteed deadlock).
+  class that owns a ``_lock`` and reports cycles (potential deadlocks)
+  and non-reentrant self-acquisition (guaranteed deadlock).
 
 Guarded state is discovered **structurally**: an attribute assigned in
 ``__init__`` counts as guarded when some method of the class hierarchy
@@ -25,14 +27,21 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.lint.callgraph import CallGraph, ClassInfo, FunctionInfo, LockToken
+from repro.lint.callgraph import (
+    CallGraph,
+    CallSite,
+    ClassInfo,
+    FunctionInfo,
+    LockToken,
+)
 from repro.lint.engine import Project, ProjectRule
 from repro.lint.findings import Finding
 
 __all__ = ["InterproceduralLockRule", "LockOrderRule"]
 
 #: curated guarded attributes for the core concurrent classes — seeds
-#: the structural inference so "never locked anywhere" bugs still trip
+#: the structural inference so "never locked anywhere" bugs still trip;
+#: the one hand-written map of which state each lock guards
 EXTRA_GUARDED: dict[str, frozenset[str]] = {
     "SchedulerService": frozenset(
         {
@@ -51,7 +60,6 @@ EXTRA_GUARDED: dict[str, frozenset[str]] = {
     "SolveFleet": frozenset(
         {"_lanes", "_closed", "crashes", "solves_per_lane"}
     ),
-    "BatchAdmission": frozenset({"_open"}),
 }
 
 
@@ -146,10 +154,12 @@ class InterproceduralLockRule(ProjectRule):
                     )
 
     def _check_locked_callers(self, graph: CallGraph) -> Iterator[Finding]:
-        """Resolved calls to ``*_locked`` methods must hold the lock."""
+        """Calls to ``*_locked`` methods must hold the lock."""
         for fn in graph.functions:
             caller_cls = graph.class_of(fn)
             for call in fn.calls:
+                if not call.targets:
+                    yield from self._check_unresolved_call(fn, call)
                 for target in call.targets:
                     if not target.name.endswith("_locked"):
                         continue
@@ -185,6 +195,35 @@ class InterproceduralLockRule(ProjectRule):
                     )
                     break  # one finding per call site is enough
 
+    def _check_unresolved_call(
+        self, fn: FunctionInfo, call: CallSite
+    ) -> Iterator[Finding]:
+        """A ``*_locked`` call on a receiver of unknown type needs *some*
+        lock held: without the type the owning lock cannot be named."""
+        if (
+            not isinstance(call.node.func, ast.Attribute)
+            or not call.called_name.endswith("_locked")
+            or call.locks_held
+            or fn.name.endswith("_locked")
+            or fn.name == "__init__"
+        ):
+            return
+        line, col = _loc(call.node)
+        yield Finding(
+            path=fn.path,
+            line=line,
+            col=col,
+            rule=self.name,
+            message=(
+                f"call to locked method '{call.called_name}' outside a "
+                f"`with <obj>._lock` block in '{_qual(fn)}'"
+            ),
+            hint=(
+                "take the lock around the call, move the call into a "
+                "*_locked helper, or annotate the receiver's type"
+            ),
+        )
+
     @staticmethod
     def _caller_exempt(
         graph: CallGraph,
@@ -209,7 +248,7 @@ class LockOrderRule(ProjectRule):
     name = "lock-order"
     description = (
         "deadlock detection: the acquired-while-holding graph over all "
-        "_lock/_mutex attributes must stay acyclic, and non-reentrant "
+        "_lock attributes must stay acyclic, and non-reentrant "
         "locks must never be re-acquired while held"
     )
 

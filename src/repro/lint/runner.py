@@ -18,7 +18,6 @@ from repro.lint.rules_hygiene import (
     UnusedImportRule,
 )
 from repro.lint.rules_interlock import InterproceduralLockRule, LockOrderRule
-from repro.lint.rules_locks import LockDisciplineRule
 from repro.lint.rules_numeric import FloatFlowRule, IntegerCapacityRule
 from repro.lint.rules_registry import RegistryCompletenessRule
 from repro.lint.rules_wire import WireContractRule
@@ -29,7 +28,6 @@ __all__ = ["default_rules", "format_report", "lint_repo", "rule_catalog"]
 def default_rules() -> list[Rule]:
     """One instance of every rule, project rules last."""
     return [
-        LockDisciplineRule(),
         FlowEncapsulationRule(),
         IntegerCapacityRule(),
         FloatFlowRule(),

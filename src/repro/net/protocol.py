@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 #: bump on incompatible envelope/codec changes; the handshake enforces it
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: default per-frame size limit (1 MiB) — a schedule for a full grid of
 #: buckets is a few tens of KiB, so this leaves ample headroom
@@ -338,7 +338,6 @@ def record_to_wire(record: ServiceRecord) -> dict[str, Any]:
         "decision_time_ms": record.decision_time_ms,
         "query": query_to_wire(record.query),
         "cache_hit": record.cache_hit,
-        "batch_size": record.batch_size,
     }
 
 
@@ -364,7 +363,6 @@ def record_from_wire(obj: Any) -> ServiceRecord:
             decision_time_ms=float(obj["decision_time_ms"]),
             query=query_from_wire(obj["query"]),
             cache_hit=bool(obj["cache_hit"]),
-            batch_size=_wire_int(obj, "batch_size", "record"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed record envelope: {exc}") from exc

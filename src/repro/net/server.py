@@ -312,7 +312,6 @@ class SchedulerServer(FrameServer):
             "p95_response_ms": stats.p95_response_ms,
             "mean_decision_ms": stats.mean_decision_ms,
             "cache_hits": stats.cache_hits,
-            "batches": stats.batches,
             "per_disk_buckets": list(stats.per_disk_buckets),
         }
 

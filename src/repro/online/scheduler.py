@@ -242,7 +242,7 @@ class OnlineScheduler(SchedulerService):
             self._drain_due_locked(now)
             self._clock_ms = now
             now, loads = self._admit_locked(now)
-            failed = frozenset(self._failed)
+            failed = self._failed
             problem, degraded = self._apply_failures(base, failed)
 
             predicted = self._response_lower_bound_locked(problem)
@@ -279,7 +279,6 @@ class OnlineScheduler(SchedulerService):
                 decision_time_ms=schedule.stats.wall_time_s * 1000.0,
                 query=query_obj,
                 cache_hit=cache_hit,
-                batch_size=1,
                 query_id=query_id,
                 predicted_ms=predicted,
                 completion_ms=now + schedule.response_time_ms,
@@ -328,11 +327,11 @@ class OnlineScheduler(SchedulerService):
         any state, clock or drain changes.
         """
         with self._lock:
-            self._failed.update(self._checked_disks_locked(disks))
+            self._failed = self._failed.union(self._checked_disks_locked(disks))
             now = self._now() if self._wall else self._clock_ms
             self._drain_due_locked(now)
             self._clock_ms = max(self._clock_ms, now)
-            self._replan_after_failure_locked(frozenset(self._failed), now)
+            self._replan_after_failure_locked(self._failed, now)
             self._update_depth_gauges_locked(now)
 
     def mark_repaired(self, disks: Sequence[int]) -> None:
@@ -349,8 +348,8 @@ class OnlineScheduler(SchedulerService):
             now = self._now() if self._wall else self._clock_ms
             self._drain_due_locked(now)
             self._clock_ms = max(self._clock_ms, now)
+            self._failed = self._failed.difference(ids)
             for d in ids:
-                self._failed.discard(d)
                 self._busy_until[d] = 0.0  # backlog restarts at zero
             self._replan_for_improvement_locked(now)
             self._update_depth_gauges_locked(now)
@@ -384,9 +383,8 @@ class OnlineScheduler(SchedulerService):
             tuple(flight.problem.replicas[i] for i in indices),
             labels=tuple(flight.problem.label_of(i) for i in indices),
         )
-        failed = frozenset(self._failed)
-        if failed:
-            sub = degrade_problem(sub, failed)
+        if self._failed:
+            sub = degrade_problem(sub, self._failed)
         loads = [max(0.0, u - now) for u in self._busy_until]
         self.system.set_loads(loads)
         return solve(sub, solver=self._online_cfg.replan_solver), loads

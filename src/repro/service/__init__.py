@@ -6,20 +6,18 @@ the public import surface is unchanged and extended::
     from repro.service import (
         SchedulerService,          # as before
         ServiceRecord,             # as before (+ query/cache_hit fields)
-        ServiceStats,              # as before (+ p50/p95, cache, batches)
+        ServiceStats,              # as before (+ p50/p95, cache hits)
         ServiceConfig,             # scheduling policy as a value
         NetworkCache,              # warm-start network cache
     )
 """
 
-from repro.service.batching import BatchAdmission
 from repro.service.cache import CacheEntry, NetworkCache
 from repro.service.config import ServiceConfig, perf_ms
 from repro.service.scheduler import SchedulerService
 from repro.service.stats import ServiceRecord, ServiceStats
 
 __all__ = [
-    "BatchAdmission",
     "CacheEntry",
     "NetworkCache",
     "SchedulerService",

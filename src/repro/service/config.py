@@ -2,7 +2,7 @@
 
 ``ServiceConfig`` consolidates what used to be loose keyword arguments
 (``solver``, ``solver_kwargs``, ``time_fn``, ``registry``) and adds the
-concurrent-pipeline knobs (``batch_window_ms``, ``cache_size``) in one
+concurrent-pipeline knobs (``cache_size``, the solve backend) in one
 place, so a deployment's scheduling policy can be constructed, logged and
 passed around as a value.
 """
@@ -48,11 +48,6 @@ class ServiceConfig:
     registry:
         Metrics sink; ``None`` gives the service a private
         :class:`~repro.obs.MetricsRegistry`.
-    batch_window_ms:
-        When positive, concurrently arriving submits are coalesced for
-        this many *real* milliseconds into one joint ``solve_batch``
-        schedule (batched admission).  ``0`` (default) schedules every
-        query individually.
     cache_size:
         Capacity of the warm-start network cache (entries keyed by the
         query's replica-set signature).  ``0`` disables caching.  Only
@@ -85,8 +80,7 @@ class ServiceConfig:
         ``"online"``: continuous-time scheduling — constructing a
         :class:`~repro.service.SchedulerService` with this mode yields
         an :class:`~repro.online.OnlineScheduler` (arrivals, drains,
-        failure re-planning, predictive admission).  Incompatible
-        with ``batch_window_ms > 0``.
+        failure re-planning, predictive admission).
     online:
         Online-mode policy, grouped in one nested
         :class:`~repro.online.OnlineConfig` value instead of more
@@ -98,7 +92,6 @@ class ServiceConfig:
     solver_kwargs: Mapping[str, object] = field(default_factory=dict)
     time_fn: Callable[[], float] | None = None
     registry: MetricsRegistry | None = None
-    batch_window_ms: float = 0.0
     cache_size: int = 64
     solve_backend: str | None = None
     fleet_workers: int = 1
@@ -106,10 +99,6 @@ class ServiceConfig:
     online: OnlineConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.fleet_workers < 1:
@@ -119,12 +108,6 @@ class ServiceConfig:
         if self.mode not in _MODES:
             raise ValueError(
                 f"mode must be one of {_MODES}, got {self.mode!r}"
-            )
-        if self.mode == "online" and self.batch_window_ms > 0:
-            raise ValueError(
-                "mode='online' is incompatible with batched admission "
-                f"(batch_window_ms={self.batch_window_ms}): arrivals are "
-                "already coalesced by the event clock"
             )
         if self.online is not None and self.mode != "online":
             raise ValueError(

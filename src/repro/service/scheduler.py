@@ -18,9 +18,6 @@ The hot path is a pipeline, not a critical section:
    new capacities) — Algorithm 6's flow conservation extended across
    solves — on a :class:`~repro.core.network.RetrievalNetwork` the cache
    builds at the signature's first hit and keeps from then on.
-3. **Batched admission (optional).**  With ``batch_window_ms > 0``,
-   concurrent submits coalesce into one joint ``solve_batch`` schedule
-   (see :mod:`repro.service.batching`).
 
 >>> svc = SchedulerService(system, placement, config=ServiceConfig())
 >>> record = svc.submit([(0, 0), (0, 1)])       # coords on the grid
@@ -36,14 +33,12 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.api import get_solver, solve
-from repro.core.batch import BatchSchedule, merge_problems
 from repro.core.degraded import degrade_problem
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
 from repro.decluster.multisite import MultiSitePlacement
 from repro.errors import PredictedOverloadError, StorageConfigError
 from repro.obs.registry import MetricsRegistry
-from repro.service.batching import BatchAdmission, _PendingQuery
 from repro.service.cache import NetworkCache
 from repro.service.config import ServiceConfig
 from repro.service.stats import ServiceRecord, ServiceStats
@@ -64,9 +59,6 @@ __all__ = ["SchedulerService"]
 #: still count every query)
 HISTORY_MAXLEN = 1024
 
-#: batch-size histogram edges (queries per admitted batch)
-_BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
-
 
 class SchedulerService:
     """Thread-safe optimal-response-time scheduler over one deployment.
@@ -77,8 +69,8 @@ class SchedulerService:
         The hardware and the replicated allocation it hosts.
     config:
         A :class:`~repro.service.ServiceConfig` value holding the
-        scheduling policy (solver, clock, metrics sink, batching window,
-        cache size, solve backend).  Omitted → defaults.
+        scheduling policy (solver, clock, metrics sink, cache size,
+        solve backend).  Omitted → defaults.
 
     With ``config.mode == "online"`` construction dispatches to the
     continuous-time :class:`~repro.online.OnlineScheduler` subclass, so
@@ -121,7 +113,9 @@ class SchedulerService:
         self._now = config.resolved_time_fn()
         self._lock = threading.Lock()
         self._busy_until = [0.0] * system.num_disks
-        self._failed: set[int] = set()
+        #: replaced (never mutated) under the lock, so ``submit`` reads
+        #: a consistent set without taking it
+        self._failed: frozenset[int] = frozenset()
         self._last_arrival = 0.0
         self._stats = ServiceStats(per_disk_buckets=[0] * system.num_disks)
         self.history: deque[ServiceRecord] = deque(maxlen=HISTORY_MAXLEN)
@@ -174,14 +168,6 @@ class SchedulerService:
             )
             for j in range(system.num_disks)
         ]
-        self._m_batches = self.registry.counter(
-            "repro_service_batches_total", "Jointly scheduled admissions."
-        )
-        self._m_batch_size = self.registry.histogram(
-            "repro_service_batch_size",
-            "Queries coalesced per admitted batch.",
-            buckets=_BATCH_SIZE_BUCKETS,
-        )
 
         # with a process backend the warm cache lives in the workers
         # (lane affinity keeps it hot); a service-side copy would only
@@ -189,11 +175,6 @@ class SchedulerService:
         self._cache = (
             NetworkCache(config.cache_size, self.registry)
             if config.cache_size > 0 and self._warmable and self._fleet is None
-            else None
-        )
-        self._batcher = (
-            BatchAdmission(self, config.batch_window_ms)
-            if config.batch_window_ms > 0
             else None
         )
 
@@ -214,20 +195,21 @@ class SchedulerService:
     def mark_failed(self, disks: Sequence[int]) -> None:
         """Take disks out of scheduling (e.g. SMART pre-fail, dead path)."""
         with self._lock:
-            self._failed.update(self._checked_disks_locked(disks))
+            self._failed = self._failed.union(self._checked_disks_locked(disks))
 
     def mark_repaired(self, disks: Sequence[int]) -> None:
         """Return repaired disks to service (their backlog restarts at 0)."""
         with self._lock:
-            for d in self._checked_disks_locked(disks):
-                self._failed.discard(d)
+            ids = self._checked_disks_locked(disks)
+            self._failed = self._failed.difference(ids)
+            for d in ids:
                 self._busy_until[d] = 0.0
                 self._m_depth[d].set(0.0)
 
     @property
     def failed_disks(self) -> frozenset[int]:
-        with self._lock:
-            return frozenset(self._failed)
+        """The disks currently out of scheduling (read without the lock)."""
+        return self._failed
 
     # ------------------------------------------------------------------
     # the hot path
@@ -249,7 +231,7 @@ class SchedulerService:
         proven lower bound on the query's response time already exceeds
         it, the query is shed with
         :class:`~repro.errors.PredictedOverloadError` before any solve
-        runs (not supported with batched admission).
+        runs.
 
         Problem construction (replica lookup, degraded filtering) runs
         *before* the solve lock is taken; only load-refresh, solve and
@@ -257,23 +239,41 @@ class SchedulerService:
         """
         coords, query_obj = self._normalize_query(query)
         base = RetrievalProblem.from_query(self.system, self.placement, coords)
-        failed = self.failed_disks
+        failed = self._failed  # replaced, never mutated: read unlocked
         problem, degraded = self._apply_failures(base, failed)
-
-        if self._batcher is not None:
+        with self._lock:
+            now, loads = self._admit_locked(arrival_ms)
+            if self._failed != failed:
+                # failure set changed since the lock-free preparation:
+                # redo the (cheap) degraded filtering under the lock so
+                # the decision reflects the current survivors.
+                problem, degraded = self._apply_failures(base, self._failed)
             if deadline_ms is not None:
-                raise StorageConfigError(
-                    "deadline_ms admission is not supported with batched "
-                    "admission (batch_window_ms > 0)"
-                )
-            request = _PendingQuery(
-                base, problem, query_obj, degraded, failed, arrival_ms
+                bound = self._response_lower_bound_locked(problem)
+                if bound > deadline_ms:
+                    raise PredictedOverloadError(
+                        f"predicted response {bound:.3f} ms exceeds "
+                        f"deadline {deadline_ms:.3f} ms",
+                        predicted_ms=bound,
+                        target_ms=deadline_ms,
+                        retry_after_ms=max(0.0, bound - deadline_ms),
+                    )
+            schedule, cache_hit = self._solve_locked(problem)
+            counts = schedule.counts_per_disk()
+            self._advance_horizons_locked(now, loads, counts)
+            record = ServiceRecord(
+                arrival_ms=now,
+                num_buckets=problem.num_buckets,
+                response_time_ms=schedule.response_time_ms,
+                assignment=schedule.as_bucket_map(),
+                degraded=degraded,
+                decision_time_ms=schedule.stats.wall_time_s * 1000.0,
+                query=query_obj,
+                cache_hit=cache_hit,
             )
-            return self._batcher.submit(request)
-        return self._solve_single(
-            base, problem, query_obj, degraded, failed, arrival_ms,
-            deadline_ms=deadline_ms,
-        )
+            self._record_one_locked(record)
+            self._update_depth_gauges_locked(now)
+            return record
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -368,114 +368,6 @@ class SchedulerService:
             gauge.set(max(0.0, self._busy_until[j] - now))
 
     # ------------------------------------------------------------------
-    def _solve_single(
-        self,
-        base: RetrievalProblem,
-        problem: RetrievalProblem,
-        query_obj: Any,
-        degraded: bool,
-        failed: frozenset[int],
-        arrival_ms: float | None,
-        deadline_ms: float | None = None,
-    ) -> ServiceRecord:
-        with self._lock:
-            now, loads = self._admit_locked(arrival_ms)
-            if self._failed != failed:
-                # failure set changed since the lock-free preparation:
-                # redo the (cheap) degraded filtering under the lock so
-                # the decision reflects the current survivors.
-                problem, degraded = self._apply_failures(
-                    base, frozenset(self._failed)
-                )
-            if deadline_ms is not None:
-                bound = self._response_lower_bound_locked(problem)
-                if bound > deadline_ms:
-                    raise PredictedOverloadError(
-                        f"predicted response {bound:.3f} ms exceeds "
-                        f"deadline {deadline_ms:.3f} ms",
-                        predicted_ms=bound,
-                        target_ms=deadline_ms,
-                        retry_after_ms=max(0.0, bound - deadline_ms),
-                    )
-            schedule, cache_hit = self._solve_locked(problem)
-            counts = schedule.counts_per_disk()
-            self._advance_horizons_locked(now, loads, counts)
-            record = ServiceRecord(
-                arrival_ms=now,
-                num_buckets=problem.num_buckets,
-                response_time_ms=schedule.response_time_ms,
-                assignment=schedule.as_bucket_map(),
-                degraded=degraded,
-                decision_time_ms=schedule.stats.wall_time_s * 1000.0,
-                query=query_obj,
-                cache_hit=cache_hit,
-                batch_size=1,
-            )
-            self._record_one_locked(record)
-            self._update_depth_gauges_locked(now)
-            return record
-
-    # ------------------------------------------------------------------
-    def _admit_batch(self, requests: list[_PendingQuery]) -> None:
-        """Jointly schedule one sealed batch (called by the leader)."""
-        with self._lock:
-            explicit = [
-                r.arrival_ms for r in requests if r.arrival_ms is not None
-            ]
-            if len(explicit) == len(requests):
-                now = max(explicit)
-            elif explicit:
-                now = max(self._now(), max(explicit))
-            else:
-                now = None  # _admit_locked reads the clock
-            now, loads = self._admit_locked(now)
-
-            current_failed = frozenset(self._failed)
-            for req in requests:
-                if req.failed != current_failed:
-                    req.problem, req.degraded = self._apply_failures(
-                        req.base, current_failed
-                    )
-
-            merged, owner = merge_problems([r.problem for r in requests])
-            # batched admission solves in-process regardless of backend:
-            # merged problems have one-off replica signatures, so worker
-            # cache affinity buys nothing and the shipping cost is pure
-            # overhead on the coalesced (already amortized) path
-            schedule = solve(merged, solver=self.solver, **self.solver_kwargs)
-            joint = BatchSchedule(schedule, owner, len(requests))
-            decision_ms = schedule.stats.wall_time_s * 1000.0
-
-            counts = schedule.counts_per_disk()
-            self._advance_horizons_locked(now, loads, counts)
-            finishes = joint.per_query_finish_ms()
-            per_assign = joint.per_query_assignments()
-
-            for q, req in enumerate(requests):
-                assignment = {
-                    req.problem.label_of(i): d
-                    for i, d in per_assign[q].items()
-                }
-                record = ServiceRecord(
-                    arrival_ms=now,
-                    num_buckets=req.problem.num_buckets,
-                    response_time_ms=finishes[q],
-                    assignment=assignment,
-                    degraded=req.degraded,
-                    decision_time_ms=decision_ms,
-                    query=req.query_obj,
-                    cache_hit=False,
-                    batch_size=len(requests),
-                )
-                req.record = record
-                self._record_one_locked(record)
-
-            self._stats.batches += 1
-            self._m_batches.inc()
-            self._m_batch_size.observe(float(len(requests)))
-            self._update_depth_gauges_locked(now)
-
-    # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
         """A snapshot of the running aggregates (with registry quantiles)."""
         with self._lock:
@@ -490,7 +382,6 @@ class SchedulerService:
                 p50_response_ms=self._m_response.quantile(0.50),
                 p95_response_ms=self._m_response.quantile(0.95),
                 cache_hits=self._stats.cache_hits,
-                batches=self._stats.batches,
             )
 
     # ------------------------------------------------------------------

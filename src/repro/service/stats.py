@@ -30,9 +30,6 @@ class ServiceRecord:
         list.
     cache_hit:
         Whether the decision warm-started from the network cache.
-    batch_size:
-        Number of queries jointly scheduled with this one (1 when the
-        service runs in per-query mode).
     """
 
     arrival_ms: float
@@ -43,7 +40,6 @@ class ServiceRecord:
     decision_time_ms: float
     query: object = None
     cache_hit: bool = False
-    batch_size: int = 1
 
 
 @dataclass
@@ -65,7 +61,6 @@ class ServiceStats:
     p50_response_ms: float = 0.0
     p95_response_ms: float = 0.0
     cache_hits: int = 0
-    batches: int = 0
 
     @property
     def mean_response_ms(self) -> float:

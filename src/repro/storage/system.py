@@ -11,7 +11,7 @@ three per-disk parameter vectors of Table I as NumPy arrays:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +20,42 @@ from repro.storage.disk import DISK_CATALOG, Disk, DiskSpec, pick_disks
 from repro.storage.site import Site
 
 __all__ = ["StorageSystem"]
+
+
+def _largest_fitting(fits: Callable[[int], bool], guess: int) -> int:
+    """The largest ``k >= 1`` with ``fits(k)``, searched from ``guess``.
+
+    ``fits`` is ``finish_time(j, k) <= t`` for a ``t`` past the first
+    finish time: true at 1 and monotone in ``k`` (float ``D + X + k*C``
+    never decreases as ``k`` grows), so the answer is unique and any
+    search finds the same one.  Gallops away from ``guess`` (doubling
+    the step) and then bisects.  The guess ``floor((t - D - X) / C)`` is
+    off by at most one in the usual case, which costs two tests; when
+    ``C_j`` is far below an ulp of ``D_j + X_j`` it can be off by up to
+    ``ulp / C_j`` (about 1e284 for a 1e-300 ms block on a 1 ms site), and
+    the gallop takes O(log) tests where stepping by one never finished.
+    """
+    step = 1
+    k = max(guess, 1)
+    if fits(k):
+        lo = k
+        while fits(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
+    else:
+        hi = k
+        while hi - step > 1 and not fits(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class StorageSystem:
@@ -194,15 +230,10 @@ class StorageSystem:
         d = self.disk(disk_id)
         site = self.sites[self._site_of[disk_id]]
         budget = deadline_ms - site.delay_ms - d.initial_load_ms
-        # the guess may be <= 0 when C_j or X_j is below an ulp of D_j;
-        # the first fixup raises it to the exact count all the same
-        k = max(0, int(budget // d.block_time_ms))
-        # fixups are O(1): float division is off by at most one ulp-step
-        while self.finish_time(disk_id, k + 1) <= deadline_ms:
-            k += 1
-        while k > 0 and self.finish_time(disk_id, k) > deadline_ms:
-            k -= 1
-        return k
+        return _largest_fitting(
+            lambda k: self.finish_time(disk_id, k) <= deadline_ms,
+            int(budget // d.block_time_ms),
+        )
 
     def rescale_terms(self) -> list[tuple[float, float, float, float]]:
         """Per-disk ``(D_j, X_j, D_j + X_j, C_j)`` for :meth:`capacities_at`.
@@ -248,13 +279,16 @@ class StorageSystem:
                 out.append(0)
                 continue
             k = int((deadline_ms - delay - load) // c)
-            # same O(1) fixups as capacity_at, against the same
-            # finish_time expression (a negative guess climbs through 0
-            # to the same count as capacity_at's guess clamped at 0)
-            while base + (k + 1) * c <= deadline_ms:
-                k += 1
-            while k > 0 and base + k * c > deadline_ms:
-                k -= 1
+            # the guess is exact unless it is below 1 (a load or block
+            # below an ulp of the delay) or the division rounded across a
+            # bucket boundary; then the same search as capacity_at,
+            # against the same finish_time expression
+            if (
+                k < 1
+                or base + k * c > deadline_ms
+                or base + (k + 1) * c <= deadline_ms
+            ):
+                k = _largest_fitting(lambda n: base + n * c <= deadline_ms, k)
             out.append(k)
         return out
 

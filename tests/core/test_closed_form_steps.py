@@ -20,6 +20,8 @@ differential fuzz instances, at deadlines that land exactly on
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -57,7 +59,9 @@ def boundary_deadlines(p: RetrievalProblem, rng: np.random.Generator) -> list[fl
     return out
 
 
-def degenerate_problem(load: float = 1e-17) -> RetrievalProblem:
+def degenerate_problem(
+    load: float = 1e-17, block: float = 1e-17
+) -> RetrievalProblem:
     """Disk 0's budget ``t - D_0 - X_0`` is negative at ``finish_time(0, 1)``.
 
     ``X_0`` and ``C_0`` are below half an ulp of ``D_0 = 1``, so
@@ -65,7 +69,7 @@ def degenerate_problem(load: float = 1e-17) -> RetrievalProblem:
     ``(1.0 - D_0) - X_0`` is negative: at ``t = 1.0`` several buckets
     have finished although the float division guesses none.
     """
-    tiny = DiskSpec("tiny", "test", "tiny", "SSD", None, 1e-17)
+    tiny = DiskSpec("tiny", "test", "tiny", "SSD", None, block)
     plain = DiskSpec("plain", "test", "plain", "HDD", 7200, 2.5)
     disks = [Disk(0, tiny, initial_load_ms=load), Disk(1, plain)]
     sys_ = StorageSystem([Site(0, 1.0, disks)])
@@ -118,6 +122,37 @@ def test_capacities_at_degenerate_budget_is_the_exact_inverse(load):
         assert sys_.finish_time(0, k + 1) > t
     assert sys_.capacities_at(math.nextafter(1.0, 0.0))[0] == 0
     assert sys_.capacities_at(1.0)[0] >= 1
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail (instead of hanging the run) when the body outlives ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("load", [0.0, 1e-17])
+def test_sub_ulp_block_time_is_the_exact_inverse(load):
+    # a 1e-300 ms block on a 1 ms site: about 1e284 buckets finish by one
+    # ulp past 1.0, so a fixup that steps one bucket at a time never ends
+    p = degenerate_problem(load, block=1e-300)
+    sys_ = p.system
+    with time_limit(5):
+        for t in (1.0, math.nextafter(1.0, 2.0), 2.0):
+            caps = sys_.capacities_at(t)
+            assert caps == [sys_.capacity_at(j, t) for j in (0, 1)]
+            k = caps[0]
+            assert k > 10**280
+            assert sys_.finish_time(0, k) <= t < sys_.finish_time(0, k + 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,4 +1,4 @@
-"""Fixture: lock-discipline violations (and non-violations).
+"""Fixture: lock-rule violations (and non-violations).
 
 Line numbers are asserted exactly in test_rules.py — keep edits
 append-only or update the expectations.
@@ -38,19 +38,23 @@ class SchedulerService:
         self._stats.clear()                # line 38: lock released — flagged
 
 
-class BatchAdmission:
-    def __init__(self):
-        self._mutex = threading.Lock()
-        self._open = None
-
-    def close(self):
-        with self._mutex:
-            self._open = None              # line 48: fine
-
-    def bad_close(self):
-        self._open = None                  # line 51: flagged
-
-
 class Unrelated:
     def anything(self):
-        self._stats = {}                   # line 56: not a guarded class
+        self._stats = {}                   # line 43: not a guarded class
+
+
+def unresolved_helper(svc):
+    svc._record_one_locked("x")            # line 47: receiver type unknown
+
+
+def unresolved_under_lock(svc):
+    with svc._lock:
+        svc._record_one_locked("x")        # line 52: fine
+
+
+def _relay_locked(svc):
+    svc._record_one_locked("x")            # line 56: *_locked caller exempt
+
+
+def annotated_helper(svc: SchedulerService):
+    svc._record_one_locked("x")            # line 60: owning lock named

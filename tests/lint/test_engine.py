@@ -128,7 +128,7 @@ class TestRunnerSurface:
     def test_catalog_covers_issue_rules(self):
         names = {name for name, _ in rule_catalog()}
         assert {
-            "lock-discipline",
+            "interprocedural-locks",
             "flow-encapsulation",
             "integer-capacity",
             "registry-completeness",
@@ -170,4 +170,4 @@ class TestCli:
         from repro.cli import main
 
         assert main(["lint", "--list-rules"]) == 0
-        assert "lock-discipline" in capsys.readouterr().out
+        assert "interprocedural-locks" in capsys.readouterr().out

@@ -1,11 +1,11 @@
 """The interprocedural lock rule: call paths into guarded code.
 
-The first test class is the PR's acceptance demonstration: a helper that
+The first test class is the rule's founding case: a helper that
 mutates guarded state *without any lexical lock in its own body*, called
-from an unlocked public method.  The lexical ``lock-discipline`` rule is
-structurally blind to it (the class is not in its curated map and no
-``with self._lock`` appears near the access); the call-graph rule flags
-both the bare access and the unlocked call.
+from an unlocked public method.  A per-method lexical check is blind to
+it (the class is in no curated map and no ``with self._lock`` appears
+near the access); the call-graph rule flags both the bare access and
+the unlocked call.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from pathlib import Path
 
 from repro.lint import run_lint
 from repro.lint.rules_interlock import InterproceduralLockRule, LockOrderRule
-from repro.lint.rules_locks import LockDisciplineRule
 
-#: a class the curated GUARDED maps know nothing about; `_pending` is
+#: a class the curated EXTRA_GUARDED map knows nothing about; `_pending` is
 #: structurally guarded (mutated under the lock in `flush`), `_tick`
 #: touches it bare, and `poke` calls the *_locked helper unlocked
 SEEDED = '''\
@@ -55,14 +54,16 @@ def seeded_findings(tmp_path: Path, rule, source: str = SEEDED):
 
 
 class TestLexicalRuleBlindSpot:
-    """Acceptance: the seeded fixture slips past the lexical rule."""
+    """The seeded fixture: a bare access no lexical check could see."""
 
-    def test_lexical_rule_misses_the_unlocked_helper(self, tmp_path):
-        findings = seeded_findings(tmp_path, LockDisciplineRule())
-        # the unlocked *_locked call in `poke` is all the lexical rule
-        # can see; the bare `_pending` mutation in `_tick` is invisible
-        assert [f.line for f in findings] == [20]
-        assert all("_pending" not in f.message for f in findings)
+    def test_resolved_call_reported_once(self, tmp_path):
+        # the unlocked *_locked call in `poke` resolves, so it is reported
+        # once, naming the owning lock, and not again by the check for
+        # receivers the call graph cannot type
+        findings = seeded_findings(tmp_path, InterproceduralLockRule())
+        poke = [f for f in findings if f.line == 20]
+        assert len(poke) == 1
+        assert "Tracker._lock" in poke[0].message
 
     def test_interprocedural_rule_catches_it(self, tmp_path):
         findings = seeded_findings(tmp_path, InterproceduralLockRule())
@@ -147,17 +148,17 @@ class TestLiveTreeCoverage:
     """The concurrent classes the analyzer exists for stay under guard."""
 
     def test_guarded_map_covers_every_concurrent_subsystem(self):
-        from repro.lint.rules_locks import GUARDED
+        from repro.lint.rules_interlock import EXTRA_GUARDED
 
-        assert {
+        assert set(EXTRA_GUARDED) == {
             "SchedulerService",
             "OnlineScheduler",
             "SolveFleet",
-            "BatchAdmission",
-        } <= set(GUARDED)
+        }
         # the attribute whose unlocked increment the rule caught in
         # fleet/pool.py must stay in the guarded set
-        assert "solves_per_lane" in GUARDED["SolveFleet"][1]
+        assert "solves_per_lane" in EXTRA_GUARDED["SolveFleet"]
+        assert "_busy_until" in EXTRA_GUARDED["SchedulerService"]
 
     def test_concurrent_packages_are_clean_under_both_lock_rules(self):
         from repro.lint import lint_repo

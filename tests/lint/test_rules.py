@@ -17,7 +17,7 @@ from repro.lint.rules_hygiene import (
     ShadowedBuiltinRule,
     UnusedImportRule,
 )
-from repro.lint.rules_locks import LockDisciplineRule
+from repro.lint.rules_interlock import InterproceduralLockRule
 from repro.lint.rules_numeric import FloatFlowRule, IntegerCapacityRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,36 +36,47 @@ def lines_of(findings, rule=None):
 
 
 class TestLockDiscipline:
+    """The lock-discipline cases, checked by ``interprocedural-locks``."""
+
     def findings(self):
         return run_lint(
-            [FIXTURES / "bad_locks.py"], [LockDisciplineRule()],
+            [FIXTURES / "bad_locks.py"], [InterproceduralLockRule()],
             root=FIXTURES,
         )
 
     def test_exact_violation_lines(self):
-        assert lines_of(self.findings()) == [25, 28, 33, 38, 51]
+        assert lines_of(self.findings()) == [25, 28, 33, 38, 47, 60]
 
     def test_mislocked_call_is_flagged_with_hint(self):
         # the deliberately mis-locked *_locked call (acceptance criterion)
         f = next(x for x in self.findings() if x.line == 25)
-        assert f.rule == "lock-discipline"
+        assert f.rule == "interprocedural-locks"
         assert "_record_one_locked" in f.message
         assert "_lock" in f.message
         assert f.hint
 
     def test_guarded_mutation_names_the_attribute(self):
         f = next(x for x in self.findings() if x.line == 28)
-        assert "self._stats" in f.message
+        assert "SchedulerService._stats" in f.message
 
-    def test_batch_admission_uses_mutex(self):
-        f = next(x for x in self.findings() if x.line == 51)
-        assert "_mutex" in f.message
+    def test_unresolved_receiver_locked_call_is_flagged(self):
+        # `svc` has no annotation, so the call graph cannot name the
+        # owning lock; the call still needs some `with …._lock` around it
+        f = next(x for x in self.findings() if x.line == 47)
+        assert "_record_one_locked" in f.message
+        assert "unresolved_helper" in f.message
+        assert f.hint
+
+    def test_annotated_receiver_names_the_owning_lock(self):
+        f = next(x for x in self.findings() if x.line == 60)
+        assert "SchedulerService._lock" in f.message
+        assert "annotated_helper" in f.message
 
     def test_exemptions_do_not_fire(self):
-        # __init__ (13-14), _locked bodies (17), with-blocks (21-22, 37,
-        # 48) and unrelated classes (56) must stay silent
+        # __init__ (13-14), _locked bodies (17, 56), with-blocks (21-22,
+        # 37, 52) and unrelated classes (43) must stay silent
         flagged = set(lines_of(self.findings()))
-        assert flagged.isdisjoint({13, 14, 17, 21, 22, 37, 48, 56})
+        assert flagged.isdisjoint({13, 14, 17, 21, 22, 37, 43, 52, 56})
 
 
 class TestFlowEncapsulation:
@@ -202,7 +213,7 @@ class TestHygieneRules:
 class TestCleanFixture:
     def test_no_rule_fires(self):
         rules = [
-            LockDisciplineRule(),
+            InterproceduralLockRule(),
             FlowEncapsulationRule(),
             IntegerCapacityRule(),
             *HYGIENE_RULES,

@@ -179,7 +179,7 @@ class TestEnvelopes:
         assert resp["id"] is None
 
     def test_version_constant(self):
-        assert PROTOCOL_VERSION == 1
+        assert PROTOCOL_VERSION == 2
 
 
 class TestQueryCodec:
@@ -262,7 +262,7 @@ class TestNonIntegralRejection:
         )
         assert isinstance(r, RangeQuery) and r.grid_size == 4
 
-    @pytest.mark.parametrize("field", ["num_buckets", "batch_size"])
+    @pytest.mark.parametrize("field", ["num_buckets"])
     def test_fractional_record_counts_rejected(self, field):
         rec = ServiceRecord(
             arrival_ms=0.0,
@@ -273,7 +273,6 @@ class TestNonIntegralRejection:
             decision_time_ms=0.1,
             query=[(0, 0)],
             cache_hit=False,
-            batch_size=1,
         )
         wire = record_to_wire(rec)
         wire[field] = 1.5
@@ -295,7 +294,6 @@ class TestRecordCodec:
             decision_time_ms=0.125,
             query=[(0, 1), (2, 2)],
             cache_hit=True,
-            batch_size=2,
         )
 
     def test_roundtrip_preserves_everything(self):
@@ -306,8 +304,19 @@ class TestRecordCodec:
         assert back.assignment == rec.assignment  # tuple keys restored
         assert back.degraded is True
         assert back.cache_hit is True
-        assert back.batch_size == 2
         assert back.query == rec.query
+
+    def test_wire_keys_are_the_v2_schema(self):
+        assert set(record_to_wire(self.record())) == {
+            "arrival_ms",
+            "num_buckets",
+            "response_time_ms",
+            "assignment",
+            "degraded",
+            "decision_time_ms",
+            "query",
+            "cache_hit",
+        }
 
     def test_range_query_record_roundtrip(self):
         rec = ServiceRecord(
@@ -319,7 +328,6 @@ class TestRecordCodec:
             decision_time_ms=0.1,
             query=RangeQuery(0, 0, 1, 1, 4),
             cache_hit=False,
-            batch_size=1,
         )
         back = record_from_wire(record_to_wire(rec))
         assert isinstance(back.query, RangeQuery)

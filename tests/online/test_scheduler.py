@@ -80,10 +80,6 @@ class TestDispatchAndConfig:
         with pytest.raises(ValueError, match="mode == 'online'"):
             OnlineScheduler(system, placement, ServiceConfig())
 
-    def test_online_rejects_batch_window(self):
-        with pytest.raises(ValueError, match="batch"):
-            ServiceConfig(mode="online", batch_window_ms=5.0)
-
     def test_online_knobs_require_online_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ServiceConfig(online=OnlineConfig())

@@ -190,6 +190,49 @@ class TestConcurrency:
         t.join(timeout=5)
         assert closed.is_set()
 
+    def test_problem_is_built_while_another_thread_holds_the_lock(self):
+        # submit reads the failure set without the lock, so a second
+        # submit builds its problem while a solve holds the lock
+        svc = make_service(time_fn=FakeClock())
+        prepared = threading.Event()
+        apply_failures = svc._apply_failures
+
+        def spy(base, failed):
+            prepared.set()
+            return apply_failures(base, failed)
+
+        svc._apply_failures = spy
+        records = []
+        with svc._lock:  # stand-in for a solve holding the lock
+            t = threading.Thread(
+                target=lambda: records.append(svc.submit([(0, 0), (1, 1)]))
+            )
+            t.start()
+            assert prepared.wait(5), "submit waited for the lock to prepare"
+        t.join(timeout=5)
+        assert [r.num_buckets for r in records] == [2]
+
+    def test_failure_marked_after_preparation_still_degrades(self):
+        coords = [(i, j) for i in range(2) for j in range(3)]
+        healthy = make_service(time_fn=FakeClock()).submit(coords)
+        victim = next(iter(healthy.assignment.values()))
+        svc = make_service(time_fn=FakeClock())
+        apply_failures = svc._apply_failures
+        seen = []
+
+        def spy(base, failed):
+            seen.append(failed)
+            if len(seen) == 1:  # between the lock-free preparation and solve
+                svc.mark_failed([victim])
+            return apply_failures(base, failed)
+
+        svc._apply_failures = spy
+        rec = svc.submit(coords)
+        # prepared against no failures, re-degraded under the lock
+        assert seen == [frozenset(), frozenset({victim})]
+        assert rec.degraded
+        assert victim not in rec.assignment.values()
+
     def test_close_is_idempotent(self):
         # pinned to the thread backend: only it still serves after close
         svc = make_service(time_fn=FakeClock(), solve_backend="thread")
@@ -258,7 +301,6 @@ class TestQueryObjects:
         rec = svc.submit(coords)
         assert rec.query == coords
         assert rec.cache_hit in (False, True)
-        assert rec.batch_size == 1
 
 
 class TestNewStats:

@@ -29,12 +29,9 @@ class TestConfigValue:
     def test_defaults(self):
         cfg = ServiceConfig()
         assert cfg.solver == "pr-binary"
-        assert cfg.batch_window_ms == 0.0
         assert cfg.cache_size > 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="batch_window_ms"):
-            ServiceConfig(batch_window_ms=-1.0)
         with pytest.raises(ValueError, match="cache_size"):
             ServiceConfig(cache_size=-1)
 

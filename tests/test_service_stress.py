@@ -185,40 +185,3 @@ class TestSerialReplayEquivalence:
                 original.response_time_ms, abs=1e-9
             )
             assert again.assignment == original.assignment
-
-
-@pytest.mark.slow
-@pytest.mark.stress
-class TestBatchedStress:
-    def test_batched_admission_under_contention(self):
-        from repro.service import ServiceConfig
-
-        svc = make_service(
-            config=ServiceConfig(batch_window_ms=2.0, cache_size=0)
-        )
-        records: list = []
-        errors: list = []
-        barrier = threading.Barrier(NUM_THREADS)
-        threads = [
-            threading.Thread(
-                target=hammer, args=(svc, 3000 + i, records, errors, barrier)
-            )
-            for i in range(NUM_THREADS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
-        assert len(records) == NUM_THREADS * QUERIES_PER_THREAD
-
-        stats = svc.stats()
-        assert stats.queries == len(records)
-        assert 1 <= stats.batches <= len(records)
-        assert stats.buckets == sum(r.num_buckets for r in records)
-        # every record carries a complete assignment for its own query
-        for r in records:
-            assert len(r.assignment) == r.num_buckets
-            assert r.batch_size >= 1
-        # coalescing actually happened somewhere in the run
-        assert max(r.batch_size for r in records) > 1
