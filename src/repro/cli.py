@@ -213,43 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_req.add_argument("--json", action="store_true",
                        help="print the raw result payload as JSON")
 
-    from repro.lint import rule_catalog as _rule_catalog
-
     p_lint = sub.add_parser(
-        "lint", help="project-specific static analysis (see repro.lint)",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="rules (pass ids to --rules, comma-separated):\n"
-               + "\n".join(f"  {name:24s} {desc}"
-                           for name, desc in _rule_catalog()),
+        "lint", help="project-specific static analysis (see repro.lint)"
     )
     p_lint.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories (default: src/repro)")
     p_lint.add_argument("--format", dest="fmt", default="text",
-                        choices=("text", "json", "sarif"),
-                        help="report format (sarif for code-scanning upload)")
+                        choices=("text", "json"), help="report format")
     p_lint.add_argument("--rules", default=None,
                         help="comma-separated rule ids to run (default: all; "
-                             "see the list below)")
+                             "see --list-rules)")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog (sorted by id) and exit")
-    p_lint.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="parse/check threads (0 = auto, 1 = serial)")
-    p_lint.add_argument("--output", default=None, metavar="FILE",
-                        help="write the report to FILE instead of stdout")
-    p_lint.add_argument("--baseline", default=None, metavar="FILE",
-                        help="baseline file of audited findings (default: "
-                             "<repo>/lint-baseline.json when linting the "
-                             "default tree); matching findings are "
-                             "suppressed, stale entries fail the run")
-    p_lint.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    p_lint.add_argument("--write-baseline", action="store_true",
-                        help="regenerate the baseline from current findings "
-                             "and exit 0")
-    p_lint.add_argument("--runtime-json", default=None, metavar="FILE",
-                        help="write {lint_runtime_s, findings, "
-                             "stale_baseline_entries, jobs} metrics to FILE "
-                             "(CI artifact)")
 
     p_prof = sub.add_parser(
         "profile", help="cProfile a solver on a workload point"
@@ -683,19 +658,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json as _json
-    import time as _time
-    from pathlib import Path
-
-    from repro.lint import (
-        apply_baseline,
-        format_report,
-        lint_repo,
-        load_baseline,
-        rule_catalog,
-        write_baseline,
-    )
-    from repro.lint.runner import find_repo_root
+    from repro.lint import format_report, lint_repo, rule_catalog
 
     if args.list_rules:
         for name, description in rule_catalog():
@@ -703,73 +666,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     select = [r.strip() for r in args.rules.split(",") if r.strip()] \
         if args.rules else None
-    t0 = _time.perf_counter()
     try:
-        findings = lint_repo(
-            paths=args.paths or None, select=select, jobs=args.jobs
-        )
+        findings = lint_repo(paths=args.paths or None, select=select)
     except ValueError as exc:  # unknown --rules name
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    runtime_s = _time.perf_counter() - t0
-
-    # resolve the baseline: explicit flag wins; the checked-in default
-    # applies only to full-tree runs (path-scoped runs would mark every
-    # out-of-scope entry stale)
-    baseline_path = None
-    if not args.no_baseline and not args.write_baseline:
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-        elif not args.paths:
-            candidate = find_repo_root() / "lint-baseline.json"
-            if candidate.exists():
-                baseline_path = candidate
-
-    if args.write_baseline:
-        target = Path(args.baseline) if args.baseline \
-            else find_repo_root() / "lint-baseline.json"
-        write_baseline(findings, target)
-        print(f"repro lint: wrote {len(findings)} entr"
-              f"{'y' if len(findings) == 1 else 'ies'} to {target}")
-        return 0
-
-    stale = []
-    if baseline_path is not None:
-        try:
-            entries = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        findings, stale = apply_baseline(findings, entries)
-
-    report = format_report(findings, args.fmt)
-    if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-    else:
-        print(report)
-    for entry in stale:
-        print(
-            f"repro lint: stale baseline entry ({entry['rule']} at "
-            f"{entry['path']}:{entry.get('line', '*')}) — the finding is "
-            "fixed, delete the suppression",
-            file=sys.stderr,
-        )
-    if args.runtime_json:
-        Path(args.runtime_json).write_text(
-            _json.dumps(
-                {
-                    "lint_runtime_s": round(runtime_s, 3),
-                    "findings": len(findings),
-                    "stale_baseline_entries": len(stale),
-                    "jobs": args.jobs,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-    return 1 if findings or stale else 0
+    print(format_report(findings, args.fmt))
+    return 1 if findings else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -36,16 +36,15 @@ The whole-program rules share one project symbol table and call graph
 (:class:`repro.lint.callgraph.CallGraph`), built once per run and
 memoised on the :class:`Project`.
 
-Run it as ``repro lint [--format text|json|sarif] [--jobs N]`` or from
+Run it as ``repro lint [--format text|json] [--rules r1,r2]`` or from
 Python::
 
     >>> from repro.lint import lint_repo
     >>> findings = lint_repo()          # [] when the tree is clean
 
-Suppressions: ``# repro-lint: ignore=<rule>`` on the offending line,
-``# repro-lint: disable-file=<rule>`` anywhere in the file; audited
-long-lived suppressions live in the repo-root ``lint-baseline.json``
-(see :mod:`repro.lint.sarif`).
+Pragmas are the only suppression: ``# repro-lint: ignore=<rule>`` on
+the offending line, ``# repro-lint: disable-file=<rule>`` anywhere in
+the file.
 """
 
 from repro.lint.callgraph import CallGraph
@@ -54,8 +53,6 @@ from repro.lint.engine import (
     Project,
     ProjectRule,
     Rule,
-    clear_parse_cache,
-    parse_cache_size,
     parse_module,
     run_lint,
 )
@@ -66,13 +63,6 @@ from repro.lint.runner import (
     lint_repo,
     rule_catalog,
 )
-from repro.lint.sarif import (
-    apply_baseline,
-    format_sarif,
-    load_baseline,
-    to_sarif,
-    write_baseline,
-)
 
 __all__ = [
     "CallGraph",
@@ -81,17 +71,10 @@ __all__ = [
     "Project",
     "ProjectRule",
     "Rule",
-    "apply_baseline",
-    "clear_parse_cache",
     "default_rules",
     "format_report",
-    "format_sarif",
     "lint_repo",
-    "load_baseline",
-    "parse_cache_size",
     "parse_module",
     "rule_catalog",
     "run_lint",
-    "to_sarif",
-    "write_baseline",
 ]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.lint.astutil import attr_chain
 from repro.lint.engine import Module, Project
@@ -748,11 +748,6 @@ class CallGraph:
     # ------------------------------------------------------------------
     # convenience for rules
     # ------------------------------------------------------------------
-    def iter_methods(self) -> Iterable[tuple[ClassInfo, FunctionInfo]]:
-        for info in self.classes:
-            for fn in info.methods.values():
-                yield info, fn
-
     def lock_attr_of(self, info: ClassInfo) -> str | None:
         """The lock attribute this class's instances carry (or None)."""
         for attr in LOCK_ATTRS:

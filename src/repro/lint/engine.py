@@ -19,17 +19,14 @@ Findings can be suppressed in the source under inspection:
 * ``# repro-lint: disable-file=<rule>`` anywhere in the file disables
   the rule for the whole file.
 
-Suppression is applied by the engine after rules run, so rules stay
-pragma-oblivious.
+These pragmas are the only suppression.  The engine applies them after
+rules run, so rules stay pragma-oblivious.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,8 +38,6 @@ __all__ = [
     "Project",
     "ProjectRule",
     "Rule",
-    "clear_parse_cache",
-    "parse_cache_size",
     "parse_module",
     "run_lint",
 ]
@@ -145,52 +140,11 @@ def _iter_py_files(target: Path) -> Iterable[Path]:
     yield from sorted(target.rglob("*.py"))
 
 
-# ----------------------------------------------------------------------
-# parse cache
-# ----------------------------------------------------------------------
-# Parsing dominates lint wall time on a grown tree, and most runs see a
-# tree that has barely changed since the last one (watch loops, repeated
-# CI steps in one job, the test suite's many lint_repo calls).  Cache
-# parsed Modules keyed by absolute path and invalidated on
-# (mtime_ns, size) — the same freshness test mtime-based build systems
-# use.  Entries are shared read-only: rules never mutate a Module.
-_parse_cache: dict[str, tuple[int, int, str, Module]] = {}
-_parse_cache_lock = threading.Lock()
-
-
-def clear_parse_cache() -> None:
-    """Drop every cached parse (tests; long-lived tools on low memory)."""
-    with _parse_cache_lock:
-        _parse_cache.clear()
-
-
-def parse_cache_size() -> int:
-    """Number of cached modules (observability for tests)."""
-    with _parse_cache_lock:
-        return len(_parse_cache)
-
-
 def _load_module(py: Path, rel: str) -> Module | Finding:
-    """Parse ``py`` (or reuse the cached parse); SyntaxError -> Finding."""
-    key = str(py)
-    try:
-        stat = py.stat()
-        fingerprint = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        fingerprint = None
-    if fingerprint is not None:
-        with _parse_cache_lock:
-            hit = _parse_cache.get(key)
-            if (
-                hit is not None
-                and hit[0] == fingerprint[0]
-                and hit[1] == fingerprint[1]
-                and hit[2] == rel
-            ):
-                return hit[3]
+    """Parse ``py``; a SyntaxError becomes a Finding."""
     source = py.read_text(encoding="utf-8")
     try:
-        module = parse_module(rel, source)
+        return parse_module(rel, source)
     except SyntaxError as exc:
         return Finding(
             path=rel,
@@ -199,16 +153,6 @@ def _load_module(py: Path, rel: str) -> Module | Finding:
             rule="syntax-error",
             message=f"cannot parse: {exc.msg}",
         )
-    if fingerprint is not None:
-        with _parse_cache_lock:
-            _parse_cache[key] = (*fingerprint, rel, module)
-    return module
-
-
-def _resolve_jobs(jobs: int) -> int:
-    if jobs > 0:
-        return jobs
-    return min(8, os.cpu_count() or 1)
 
 
 def run_lint(
@@ -216,17 +160,13 @@ def run_lint(
     rules: Sequence[Rule],
     *,
     root: str | Path | None = None,
-    jobs: int = 1,
 ) -> list[Finding]:
     """Lint ``paths`` with ``rules``; return sorted, pragma-filtered findings.
 
     ``root`` anchors the repo-relative paths in reports (and gives
     project rules access to out-of-tree context such as ``tests/``);
-    it defaults to the common parent of ``paths``.  ``jobs`` parallelises
-    parsing and the per-module rule passes across threads (``0`` picks
-    ``min(8, cpu_count)``); project rules always run once, serially,
-    after every module is parsed.  Results are deterministic regardless
-    of ``jobs``.
+    it defaults to the common parent of ``paths``.  Project rules run
+    once, after every module is parsed and checked.
     """
     targets = [Path(p).resolve() for p in paths]
     if root is None:
@@ -234,7 +174,8 @@ def run_lint(
     else:
         root_path = Path(root).resolve()
 
-    files: list[tuple[Path, str]] = []
+    modules: list[Module] = []
+    findings: list[Finding] = []
     seen: set[Path] = set()
     for target in targets:
         for py in _iter_py_files(target):
@@ -245,42 +186,21 @@ def run_lint(
                 rel = py.relative_to(root_path).as_posix()
             except ValueError:
                 rel = py.as_posix()
-            files.append((py, rel))
+            item = _load_module(py, rel)
+            if isinstance(item, Finding):
+                findings.append(item)
+            else:
+                modules.append(item)
 
-    modules: list[Module] = []
-    findings: list[Finding] = []
-    worker_count = min(_resolve_jobs(jobs), max(1, len(files)))
-    if worker_count > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            loaded = list(pool.map(lambda fr: _load_module(*fr), files))
-    else:
-        loaded = [_load_module(py, rel) for py, rel in files]
-    for item in loaded:
-        if isinstance(item, Finding):
-            findings.append(item)
-        else:
-            modules.append(item)
-
-    project = Project(root_path, modules)
-
-    def _module_findings(module: Module) -> list[Finding]:
-        out: list[Finding] = []
+    for module in modules:
         for rule in rules:
             if isinstance(rule, ProjectRule) or not rule.applies_to(module.path):
                 continue
             for finding in rule.check(module):
                 if not module.is_suppressed(finding):
-                    out.append(finding)
-        return out
+                    findings.append(finding)
 
-    if worker_count > 1 and len(modules) > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            for batch in pool.map(_module_findings, modules):
-                findings.extend(batch)
-    else:
-        for module in modules:
-            findings.extend(_module_findings(module))
-
+    project = Project(root_path, modules)
     by_path = {m.path: m for m in modules}
     for rule in rules:
         if not isinstance(rule, ProjectRule):

@@ -69,14 +69,12 @@ def lint_repo(
     root: str | Path | None = None,
     rules: Sequence[Rule] | None = None,
     select: Sequence[str] | None = None,
-    jobs: int = 1,
 ) -> list[Finding]:
     """Lint the repository (or explicit ``paths``) with the default rules.
 
     ``select`` restricts the run to the named rules; an unknown name
     raises :class:`ValueError` listing the valid ids (a silently-ignored
-    typo would otherwise lint nothing and exit green).  ``jobs``
-    parallelises parsing and the per-module passes (``0`` = auto).
+    typo would otherwise lint nothing and exit green).
     """
     root_path = Path(root) if root is not None else find_repo_root()
     if paths is None:
@@ -93,15 +91,11 @@ def lint_repo(
             )
         wanted = set(select)
         active = [r for r in active if r.name in wanted]
-    return run_lint(paths, active, root=root_path, jobs=jobs)
+    return run_lint(paths, active, root=root_path)
 
 
 def format_report(findings: Sequence[Finding], fmt: str = "text") -> str:
-    """Render findings as ``text``, ``json`` or ``sarif``."""
-    if fmt == "sarif":
-        from repro.lint.sarif import format_sarif
-
-        return format_sarif(findings, catalog=rule_catalog())
+    """Render findings as ``text`` or ``json``."""
     if fmt == "json":
         return json.dumps(
             {

@@ -30,6 +30,7 @@ replay differential tests lean on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -151,6 +152,10 @@ class OnlineScheduler(SchedulerService):
             now = self._now() if self._wall else self._clock_ms
         else:
             now = float(arrival_ms)
+            if not math.isfinite(now):
+                raise StorageConfigError(
+                    f"arrival_ms must be finite, got {now}"
+                )
         if now < self._clock_ms:
             raise StorageConfigError(
                 f"online clock cannot run backwards "

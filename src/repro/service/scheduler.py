@@ -28,6 +28,7 @@ The hot path is a pipeline, not a critical section:
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
@@ -293,6 +294,9 @@ class SchedulerService:
     def _admit_locked(self, arrival_ms: float | None) -> tuple[float, list]:
         """Monotonic-arrival check + load refresh; returns (now, loads)."""
         now = self._now() if arrival_ms is None else float(arrival_ms)
+        if not math.isfinite(now):
+            # inf would pin the clock forever; NaN defeats the order check
+            raise StorageConfigError(f"arrival_ms must be finite, got {now}")
         if now < self._last_arrival:
             raise StorageConfigError(
                 f"arrivals must be non-decreasing "

@@ -18,6 +18,7 @@ scheduler's ``C_j``.  Experiments draw disks from the groups ``hdd``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,10 @@ class DiskSpec:
     block_time_ms: float
 
     def __post_init__(self) -> None:
-        if self.block_time_ms <= 0:
+        if not 0 < self.block_time_ms < math.inf:
             raise StorageConfigError(
-                f"block time must be positive, got {self.block_time_ms}"
+                f"block time must be positive and finite, "
+                f"got {self.block_time_ms}"
             )
         if self.kind not in ("HDD", "SSD"):
             raise StorageConfigError(f"unknown disk kind {self.kind!r}")
@@ -88,9 +90,10 @@ class Disk:
     def __post_init__(self) -> None:
         if self.disk_id < 0:
             raise StorageConfigError(f"disk id must be >= 0, got {self.disk_id}")
-        if self.initial_load_ms < 0:
+        if not 0 <= self.initial_load_ms < math.inf:
             raise StorageConfigError(
-                f"initial load must be >= 0, got {self.initial_load_ms}"
+                f"initial load must be finite and >= 0, "
+                f"got {self.initial_load_ms}"
             )
 
     @property

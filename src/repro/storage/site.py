@@ -8,6 +8,7 @@ guarantees).  Every disk of a site shares the site's delay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import StorageConfigError
@@ -37,8 +38,10 @@ class Site:
     def __post_init__(self) -> None:
         if self.site_id < 0:
             raise StorageConfigError(f"site id must be >= 0, got {self.site_id}")
-        if self.delay_ms < 0:
-            raise StorageConfigError(f"delay must be >= 0, got {self.delay_ms}")
+        if not 0 <= self.delay_ms < math.inf:
+            raise StorageConfigError(
+                f"delay must be finite and >= 0, got {self.delay_ms}"
+            )
 
     @property
     def num_disks(self) -> int:

@@ -11,6 +11,7 @@ three per-disk parameter vectors of Table I as NumPy arrays:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,6 +57,13 @@ def _largest_fitting(fits: Callable[[int], bool], guess: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def _capacity_overflow(disk_id: int, deadline_ms: float) -> StorageConfigError:
+    return StorageConfigError(
+        f"disk {disk_id}'s bucket count by t={deadline_ms} ms exceeds the "
+        "float range; its block time is too small for this deadline"
+    )
 
 
 class StorageSystem:
@@ -191,15 +199,18 @@ class StorageSystem:
         return np.array([d.initial_load_ms for d in self._disks], dtype=float)
 
     def set_loads(self, loads: Iterable[float]) -> None:
-        """Overwrite every disk's ``X_j`` (validated non-negative)."""
+        """Overwrite every disk's ``X_j`` (validated finite and non-negative)."""
         values = [float(x) for x in loads]
         if len(values) != self.num_disks:
             raise StorageConfigError(
                 f"need {self.num_disks} loads, got {len(values)}"
             )
         for disk, x in zip(self._disks, values):
-            if x < 0:
-                raise StorageConfigError(f"negative load {x} for disk {disk.disk_id}")
+            if not 0 <= x < math.inf:
+                raise StorageConfigError(
+                    f"load must be finite and >= 0, got {x} for disk "
+                    f"{disk.disk_id}"
+                )
             disk.initial_load_ms = x
 
     def finish_time(self, disk_id: int, buckets: int) -> float:
@@ -230,10 +241,13 @@ class StorageSystem:
         d = self.disk(disk_id)
         site = self.sites[self._site_of[disk_id]]
         budget = deadline_ms - site.delay_ms - d.initial_load_ms
-        return _largest_fitting(
-            lambda k: self.finish_time(disk_id, k) <= deadline_ms,
-            int(budget // d.block_time_ms),
-        )
+        try:
+            return _largest_fitting(
+                lambda k: self.finish_time(disk_id, k) <= deadline_ms,
+                int(budget // d.block_time_ms),
+            )
+        except OverflowError:
+            raise _capacity_overflow(disk_id, deadline_ms) from None
 
     def rescale_terms(self) -> list[tuple[float, float, float, float]]:
         """Per-disk ``(D_j, X_j, D_j + X_j, C_j)`` for :meth:`capacities_at`.
@@ -274,22 +288,28 @@ class StorageSystem:
         if terms is None:
             terms = self.rescale_terms()
         out: list[int] = []
-        for delay, load, base, c in terms:
-            if deadline_ms < base + c:  # finish_time(j, 1)
-                out.append(0)
-                continue
-            k = int((deadline_ms - delay - load) // c)
-            # the guess is exact unless it is below 1 (a load or block
-            # below an ulp of the delay) or the division rounded across a
-            # bucket boundary; then the same search as capacity_at,
-            # against the same finish_time expression
-            if (
-                k < 1
-                or base + k * c > deadline_ms
-                or base + (k + 1) * c <= deadline_ms
-            ):
-                k = _largest_fitting(lambda n: base + n * c <= deadline_ms, k)
-            out.append(k)
+        try:
+            for delay, load, base, c in terms:
+                if deadline_ms < base + c:  # finish_time(j, 1)
+                    out.append(0)
+                    continue
+                k = int((deadline_ms - delay - load) // c)
+                # the guess is exact unless it is below 1 (a load or block
+                # below an ulp of the delay) or the division rounded across
+                # a bucket boundary; then the same search as capacity_at,
+                # against the same finish_time expression
+                if (
+                    k < 1
+                    or base + k * c > deadline_ms
+                    or base + (k + 1) * c <= deadline_ms
+                ):
+                    k = _largest_fitting(
+                        lambda n: base + n * c <= deadline_ms, k
+                    )
+                out.append(k)
+        except OverflowError:
+            # the disk being rescaled is the next one `out` would hold
+            raise _capacity_overflow(len(out), deadline_ms) from None
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -7,6 +7,7 @@ violates its own contracts.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 from repro.lint import format_report, lint_repo
@@ -57,3 +58,12 @@ def test_lint_is_deterministic():
 def test_scoped_run_on_core_is_clean():
     root = find_repo_root()
     assert lint_repo(paths=[Path(root) / "src" / "repro" / "core"]) == []
+
+
+def test_full_default_run_stays_under_five_seconds():
+    # a fresh parse and every rule, the same serial run CI gates on
+    t0 = time.perf_counter()
+    findings = lint_repo()
+    elapsed = time.perf_counter() - t0
+    assert findings == []
+    assert elapsed < 5.0, f"repro lint took {elapsed:.2f}s (budget 5s)"

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 
 from repro.lint import (
     Finding,
@@ -171,3 +176,42 @@ class TestCli:
 
         assert main(["lint", "--list-rules"]) == 0
         assert "interprocedural-locks" in capsys.readouterr().out
+
+    def test_findings_on_a_path_run_exit_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        write(tmp_path, "m.py", "import os\n\nX = 1\n")
+        assert main(["lint", str(tmp_path)]) == 1
+        assert "unused-import" in capsys.readouterr().out
+
+    def test_unknown_rule_name_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        write(tmp_path, "m.py", "X = 1\n")
+        assert main(["lint", str(tmp_path), "--rules", "no-such-rule"]) == 2
+        assert "unknown rule" in capsys.readouterr().err
+
+    def test_list_rules_is_sorted_with_descriptions(self, capsys):
+        from repro.cli import main
+
+        assert main(["lint", "--list-rules"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
+        names = [ln.split()[0] for ln in lines]
+        assert names == sorted(names)
+        assert "interprocedural-locks" in names
+        # every row carries a one-line description from the rule class
+        assert all(len(ln.split(None, 1)) == 2 for ln in lines)
+
+    def test_building_the_parser_loads_no_lint_module(self):
+        # every CLI command, `repro serve` included, builds the parser;
+        # the linter loads only when `repro lint` runs
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -494,6 +494,29 @@ class TestWireEdgeCases:
                 # the connection survived all three errors
                 assert client.health()["status"] == "ok"
 
+    def test_infinite_arrival_is_invalid_query_and_later_submits_work(self):
+        with BackgroundServer(make_service(seed=8)) as bg:
+            with SchedulerClient(
+                bg.host, bg.port, retry=RetryPolicy(attempts=1)
+            ) as client:
+                client.submit([(0, 0)], arrival_ms=50.0)
+                # JSON `Infinity`; json.loads reads `1e400` as inf too
+                with pytest.raises(InvalidQueryError, match="finite"):
+                    client.submit([(1, 1)], arrival_ms=float("inf"))
+                rec = client.submit([(1, 1)], arrival_ms=60.0)
+                assert rec.arrival_ms == 60.0
+
+    def test_nan_arrival_is_invalid_query_and_order_still_holds(self):
+        with BackgroundServer(make_service(seed=8)) as bg:
+            with SchedulerClient(
+                bg.host, bg.port, retry=RetryPolicy(attempts=1)
+            ) as client:
+                client.submit([(0, 0)], arrival_ms=50.0)
+                with pytest.raises(InvalidQueryError, match="finite"):
+                    client.submit([(1, 1)], arrival_ms=float("nan"))
+                with pytest.raises(InvalidQueryError, match="non-decreasing"):
+                    client.submit([(1, 1)], arrival_ms=10.0)
+
     def test_fractional_coordinate_is_invalid_query_not_truncated(self):
         """A ``2.5`` coordinate must come back as a typed INVALID_QUERY.
 

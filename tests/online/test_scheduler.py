@@ -97,6 +97,31 @@ class TestDispatchAndConfig:
         assert set(multiprocessing.active_children()) == children
 
 
+class TestNonFiniteArrivals:
+    def test_infinite_arrival_is_refused_and_leaves_the_clock_alone(self):
+        svc = make_online()
+        try:
+            svc.submit(SMALL, arrival_ms=10.0)
+            with pytest.raises(StorageConfigError, match="finite"):
+                svc.submit(SMALL, arrival_ms=float("inf"))
+            assert svc.now_ms == 10.0
+            assert svc.submit(SMALL, arrival_ms=20.0).arrival_ms == 20.0
+            assert svc.online_stats().admitted == 2
+        finally:
+            svc.close()
+
+    def test_nan_arrival_is_refused_and_keeps_the_order_check(self):
+        svc = make_online()
+        try:
+            svc.submit(SMALL, arrival_ms=10.0)
+            with pytest.raises(StorageConfigError, match="finite"):
+                svc.submit(SMALL, arrival_ms=float("nan"))
+            with pytest.raises(StorageConfigError, match="backwards"):
+                svc.submit(SMALL, arrival_ms=0.5)
+        finally:
+            svc.close()
+
+
 class TestLifecycle:
     def test_submit_drain_complete(self):
         svc = make_online()

@@ -189,3 +189,59 @@ class TestStorageSystem:
                 ]
                 assert sys_.capacities_at(t) == expected
                 assert sys_.capacities_at(t, terms) == expected
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, float("1e400")], ids=["nan", "inf", "1e400"]
+)
+
+
+class TestNonFiniteInputs:
+    """NaN and inf are refused where they enter, with a typed error."""
+
+    @NON_FINITE
+    def test_disk_spec_block_time(self, bad):
+        with pytest.raises(StorageConfigError, match="finite"):
+            DiskSpec("bad", "X", "Y", "SSD", None, bad)
+
+    @NON_FINITE
+    def test_disk_initial_load(self, bad):
+        with pytest.raises(StorageConfigError, match="finite"):
+            Disk(0, DISK_CATALOG["cheetah"], initial_load_ms=bad)
+
+    @NON_FINITE
+    def test_site_delay(self, bad):
+        with pytest.raises(StorageConfigError, match="finite"):
+            Site(0, bad)
+
+    @NON_FINITE
+    def test_set_loads(self, bad):
+        sys_ = StorageSystem.homogeneous(4, "raptor")
+        with pytest.raises(StorageConfigError, match="finite"):
+            sys_.set_loads([1, 2, bad, 4])
+
+
+class TestCapacityOverflow:
+    """A bucket count past the float range is a typed error, not a bare
+    ``OverflowError`` (a 5e-324 ms block on a 1e6 ms site)."""
+
+    def tiny_block_system(self):
+        spec = DiskSpec("tiny", "X", "Y", "SSD", None, 5e-324)
+        return StorageSystem([
+            Site(0, 1.0, [Disk(0, DISK_CATALOG["cheetah"])]),
+            Site(1, 1e6, [Disk(1, spec)]),
+        ])
+
+    @pytest.mark.parametrize("t", [1e6, 2e6])
+    def test_capacity_at(self, t):
+        with pytest.raises(StorageConfigError, match="disk 1's bucket count"):
+            self.tiny_block_system().capacity_at(1, t)
+
+    @pytest.mark.parametrize("t", [1e6, 2e6])
+    def test_capacities_at_names_the_disk(self, t):
+        sys_ = self.tiny_block_system()
+        for terms in (None, sys_.rescale_terms()):
+            with pytest.raises(
+                StorageConfigError, match="disk 1's bucket count"
+            ):
+                sys_.capacities_at(t, terms)

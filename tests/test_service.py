@@ -70,6 +70,23 @@ class TestBasics:
         with pytest.raises(StorageConfigError, match="non-decreasing"):
             svc.submit([(0, 0)], arrival_ms=5.0)
 
+    def test_infinite_arrival_is_refused_and_leaves_the_clock_alone(self):
+        svc = make_service(time_fn=FakeClock())
+        svc.submit([(0, 0)], arrival_ms=10.0)
+        for bad in (float("inf"), float("1e400")):
+            with pytest.raises(StorageConfigError, match="finite"):
+                svc.submit([(0, 0)], arrival_ms=bad)
+        assert svc.submit([(1, 1)], arrival_ms=20.0).arrival_ms == 20.0
+        assert svc.stats().queries == 2
+
+    def test_nan_arrival_is_refused_and_keeps_the_order_check(self):
+        svc = make_service(time_fn=FakeClock())
+        svc.submit([(0, 0)], arrival_ms=10.0)
+        with pytest.raises(StorageConfigError, match="finite"):
+            svc.submit([(0, 0)], arrival_ms=float("nan"))
+        with pytest.raises(StorageConfigError, match="non-decreasing"):
+            svc.submit([(0, 0)], arrival_ms=0.5)
+
     def test_stats_accumulate(self):
         svc = make_service(time_fn=FakeClock())
         svc.submit([(0, 0)], arrival_ms=0.0)
